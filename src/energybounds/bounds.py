@@ -20,13 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from math import fsum
 from typing import NamedTuple
 
 from .core import (
     REL_TOL,
     PowerSumConstraints,
     TraceNormConstraints,
+    log_hyperfactorial,
 )
 from .rootfind import (
     RESIDUAL_TOL,
@@ -119,13 +119,6 @@ class UVValues(NamedTuple):
     V: float | None
     F: float | None
     G: float | None
-
-
-def log_hyperfactorial(n: int) -> float:
-    """log Y(n) = sum_{k=2}^n k log k, without forming the big integer."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError("n must be an integer >= 2")
-    return fsum(k * math.log(k) for k in range(2, n + 1))
 
 
 def energy_min_trace_norm(tn: TraceNormConstraints, tol: float = RESIDUAL_TOL) -> BoundReport:

@@ -14,11 +14,15 @@ input (a report naming the violated condition is still printed).
 
 ``--json`` prints one object {op, inputs, result, diagnostics} with floats
 at 17 significant digits, so identical invocations are byte-identical.
+Non-finite floats (e.g. log margins when Delta <= 0) are written as null,
+so the output is strict JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -86,10 +90,9 @@ def _to_json(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return _fmt_float(value)
+        return format(value, ".17g") if math.isfinite(value) else "null"
     if isinstance(value, str):
-        out = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+        return json.dumps(value, ensure_ascii=False)
     if isinstance(value, dict):
         items = ", ".join(f"{_to_json(str(k))}: {_to_json(v)}" for k, v in value.items())
         return "{" + items + "}"
@@ -161,7 +164,10 @@ def _build_parser() -> _Parser:
 
     def with_common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument(
+        return p
+
+    def with_tol(p):
+        with_common(p).add_argument(
             "--tol",
             type=float,
             default=RESIDUAL_TOL,
@@ -173,18 +179,18 @@ def _build_parser() -> _Parser:
         dest="which", required=True
     )
 
-    p = with_common(bound.add_parser("emin-tn", help="minimal energy, fixed trace+product"))
+    p = with_tol(bound.add_parser("emin-tn", help="minimal energy, fixed trace+product"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=float, required=True, help="mean: trace is n*s")
     p.add_argument("--p", type=float, required=True, help="product of the n values")
 
-    p = with_common(bound.add_parser("emin-power", help="minimal energy, fixed S1 and Sr"))
+    p = with_tol(bound.add_parser("emin-power", help="minimal energy, fixed S1 and Sr"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s1", type=float, required=True)
     p.add_argument("--sr", type=float, required=True)
 
-    p = with_common(bound.add_parser("emax-power", help="maximal energy, fixed S1 and Sr"))
+    p = with_tol(bound.add_parser("emax-power", help="maximal energy, fixed S1 and Sr"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s1", type=float, required=True)
@@ -236,7 +242,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--threads", type=int, default=None)
 
     p = with_common(oracle.add_parser("trace-norm", help="extremes of E at fixed trace, product"))
     p.add_argument("--n", type=int, required=True)
@@ -245,7 +250,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--threads", type=int, default=None)
 
     poly = sub.add_parser("poly", help="exact polynomial reports").add_subparsers(
         dest="which", required=True
@@ -281,7 +285,7 @@ def _build_parser() -> _Parser:
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None):
+    if args.threads:
         return max(1, args.threads)
     env = os.environ.get("ENERGY_BOUNDS_THREADS", "")
     if env.strip():
@@ -300,7 +304,8 @@ def _threads(args) -> int:
 
 def _run_bound(args) -> int:
     which = args.which
-    inputs = {"tol": args.tol}
+    tol = {"tol": args.tol} if "tol" in args else {}
+    inputs = dict(tol)
     if which == "emin-tn":
         inputs.update(n=args.n, s=args.s, p=args.p)
         report = energy_min_trace_norm(TraceNormConstraints(args.n, args.s, args.p), args.tol)
@@ -333,8 +338,7 @@ def _run_bound(args) -> int:
         )
         spec = PotentialSpec(args.a, args.b, args.c, args.d)
         report = potential_lower_from_disc(spec, args.n, args.s1, args.delta)
-    diagnostics = dict(report.diagnostics)
-    diagnostics["tol"] = args.tol
+    diagnostics = {**report.diagnostics, **tol}
     _emit(args, f"bound.{which}", inputs, _bound_result(report), diagnostics)
     return 0
 
@@ -353,14 +357,7 @@ def _identity_energy(args, inputs: dict) -> int:
 
 
 def _run_oracle(args) -> int:
-    threads = _threads(args)
-    inputs = {
-        "restarts": args.restarts,
-        "seed": args.seed,
-        "max_iters": args.max_iters,
-        "tol": args.tol,
-        "threads": threads,
-    }
+    inputs = {"restarts": args.restarts, "seed": args.seed, "max_iters": args.max_iters}
     if args.which == "power":
         inputs.update(n=args.n, r=args.r, s1=args.s1, sr=args.sr)
         if args.r == 2:
@@ -390,7 +387,6 @@ def _run_oracle(args) -> int:
             "ntilde": ps.ntilde,
             "ntilde_ceil": ps.ntilde_ceil,
             "k_star": ps.k_star,
-            "tol": args.tol,
         }
         _emit(args, "oracle.power", inputs, result, diagnostics)
         return 0
@@ -408,7 +404,7 @@ def _run_oracle(args) -> int:
         },
         "candidates": [_config_dict(c) for c in ext.candidates],
     }
-    _emit(args, "oracle.trace-norm", inputs, result, {"tol": args.tol})
+    _emit(args, "oracle.trace-norm", inputs, result, {})
     return 0
 
 
@@ -431,7 +427,7 @@ def _run_poly(args) -> int:
             "energy_identity": fam.energy_identity,
             "delta_identity": fam.delta_identity,
         }
-        _emit(args, "poly.hermite", inputs, result, {"tol": args.tol})
+        _emit(args, "poly.hermite", inputs, result, {})
         return 0
 
     inputs = {"coeffs": args.coeffs}
@@ -447,7 +443,7 @@ def _run_poly(args) -> int:
             "diffsq_coeffs": list(dpoly.coeffs),
             "squarefree": squarefree,
         }
-        _emit(args, "poly.diffsq", inputs, result, {"tol": args.tol})
+        _emit(args, "poly.diffsq", inputs, result, {})
         return 0
 
     report = verify_theorem2(poly)
@@ -469,7 +465,7 @@ def _run_poly(args) -> int:
         "thm2_margin_log": report.thm2_margin_log,
         "edelta_margin_log": report.edelta_margin_log,
     }
-    _emit(args, "poly.verify", inputs, result, {"tol": args.tol})
+    _emit(args, "poly.verify", inputs, result, {})
     return 0
 
 
@@ -510,7 +506,7 @@ def _run_corpus(args) -> int:
             for r in reports
         ]
         result = {"count": len(reports), "per_degree": per_degree, "members": rows}
-        _emit(args, "corpus.enumerate", inputs, result, {"tol": args.tol})
+        _emit(args, "corpus.enumerate", inputs, result, {})
     else:
         sys.stdout.write(corpus_to_csv(reports))
     return 0
@@ -525,7 +521,7 @@ def _run_constants(args) -> int:
         "two_over_sqrt_e": sc.two_over_sqrt_e,
         "residual": sc.residual,
     }
-    _emit(args, "constants.siegel", {}, result, {"tol": args.tol})
+    _emit(args, "constants.siegel", {}, result, {})
     return 0
 
 

@@ -137,12 +137,18 @@ def hyperfactorial(n: int) -> int:
     return out
 
 
+def log_hyperfactorial(n: int) -> float:
+    """log Y(n) = sum_{k=2}^n k log k, without forming the big integer."""
+    if not isinstance(n, int) or n < 2:
+        raise ValueError("n must be an integer >= 2")
+    return fsum(k * math.log(k) for k in range(2, n + 1))
+
+
 def a_factor_log(n: int) -> float:
     """log of A(n) = (2n)^binom(n,2) / Y(n), evaluated stably in log space."""
     if not isinstance(n, int) or n < 2:
         raise ValueError("n must be an integer >= 2")
-    c = math.comb(n, 2)
-    return c * math.log(2 * n) - fsum(k * math.log(k) for k in range(2, n + 1))
+    return math.comb(n, 2) * math.log(2 * n) - log_hyperfactorial(n)
 
 
 class NTilde(NamedTuple):

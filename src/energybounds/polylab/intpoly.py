@@ -3,16 +3,17 @@
 Everything here is exact: resultants and discriminants go through the
 Sylvester matrix with Bareiss fraction-free elimination, and the
 squared-difference polynomial (roots (x_i - x_j)^2, i < j) is built from
-integer resultant samples and exact interpolation.  Floating point never
-enters any value returned by this module.
+the root power sums by Newton's identities.  Floating point never enters
+any value returned by this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
+
+from ..core import power_sums_from_coeffs
 
 
 @dataclass(frozen=True)
@@ -48,10 +49,7 @@ class IntPolynomial:
         return cls(tuple(out))
 
     def __call__(self, x):
-        acc = self.coeffs[0]
-        for c in self.coeffs[1:]:
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
@@ -99,6 +97,14 @@ def _poly_mul(a: list, b: list) -> list:
     return out
 
 
+def _horner(coeffs: Sequence, x):
+    """Value at x, in the arithmetic of x (int, Fraction or float)."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * x + c
+    return acc
+
+
 def _poly_trim(a: list) -> list:
     i = 0
     while i < len(a) and a[i] == 0:
@@ -109,24 +115,6 @@ def _poly_trim(a: list) -> list:
 def _derive(a: Sequence) -> list:
     deg = len(a) - 1
     return [(deg - i) * c for i, c in enumerate(a[:-1])]
-
-
-def _poly_divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
-    """Division over the rationals; inputs any exact numbers, b nonzero."""
-    b = _poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in a]
-    lead = Fraction(b[0])
-    quot = []
-    while len(rem) >= len(b):
-        q = rem[0] / lead
-        quot.append(q)
-        if q != 0:
-            for i in range(1, len(b)):
-                rem[i] -= q * b[i]
-        rem.pop(0)
-    return _poly_trim(quot), _poly_trim(rem)
 
 
 def _divmod_monic_int(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -142,17 +130,6 @@ def _divmod_monic_int(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], li
             rem[i] -= q * b[i]
         rem.pop(0)
     return quot, _poly_trim(rem)
-
-
-def _to_primitive(a: Sequence[Fraction]) -> list[int]:
-    """Scale by a positive rational to a primitive integer list (sign kept)."""
-    a = _poly_trim(list(a))
-    if not a:
-        return []
-    denom = math.lcm(*(Fraction(c).denominator for c in a))
-    ints = [int(Fraction(c) * denom) for c in a]
-    g = math.gcd(*(abs(c) for c in ints))
-    return [c // g for c in ints]
 
 
 def _primitive_int(a: Sequence[int]) -> list[int]:
@@ -195,15 +172,6 @@ def poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if fa and fa[0] < 0:
         fa = [-c for c in fa]
     return fa
-
-
-def _shift(coeffs: Sequence[int], c: int) -> list[int]:
-    """Coefficients of f(y + c), exactly (Horner with substituted variable)."""
-    out = [coeffs[0]]
-    for a in coeffs[1:]:
-        out = _poly_mul(out, [1, c])
-        out[-1] += a
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,59 +257,39 @@ def discriminant_exact(poly: IntPolynomial) -> int:
 def diffsq_poly(poly: IntPolynomial) -> tuple[IntPolynomial, bool]:
     """Monic integer polynomial with roots (x_i - x_j)^2 over pairs i < j.
 
-    Res_y(f(y), f(y+z)) equals z^n * prod_{i<j} (z^2 - (x_i-x_j)^2); removing
-    the z^n factor leaves an even polynomial, i.e. P(z^2) with P the target.
-    P is recovered exactly from binom(n,2)+1 integer samples of z by
-    interpolation.  The second return value reports whether P is squarefree,
-    i.e. whether the squared differences are pairwise distinct.
+    With p_l the power sums of the roots x_i (p_0 = n), the power sums of
+    the C = binom(n,2) squared differences are
+
+        q_m = sum_{i<j} (x_i - x_j)^(2m) = 1/2 sum_{l=0}^{2m} C(2m,l) (-1)^l p_l p_{2m-l},
+
+    and Newton's identities k e_k = sum_{i=1}^{k} (-1)^(i-1) e_{k-i} q_i
+    turn them into the elementary symmetric functions e_k of the squared
+    differences; P has coefficients (-1)^k e_k.  Both divisions are exact,
+    so every value is an integer.  The second return value reports whether
+    P is squarefree, i.e. whether the squared differences are pairwise
+    distinct.
     """
     if not poly.is_monic:
         raise ValueError("polynomial must be monic")
     n = poly.degree
     if n < 2:
         raise ValueError("degree must be at least 2")
-    f = list(poly.coeffs)
     c = n * (n - 1) // 2
-    points: list[int] = []
-    values: list[int] = []
-    for z in range(1, c + 2):
-        res = resultant(f, _shift(f, z))
-        q, rem = divmod(res, z**n)
-        if rem:
-            raise ArithmeticError("resultant lost its z^n factor; input not monic?")
-        points.append(z * z)
-        values.append(q)
-    pcoeffs = _interpolate_int(points, values)
-    if len(pcoeffs) != c + 1 or pcoeffs[0] != 1:
-        raise ArithmeticError("interpolated difference polynomial is not monic")
-    dpoly = IntPolynomial(tuple(pcoeffs))
+    p = [n, *power_sums_from_coeffs(poly.coeffs, 2 * c)]
+    q = [0]
+    for m in range(1, c + 1):
+        twice = sum((-1) ** l * math.comb(2 * m, l) * p[l] * p[2 * m - l] for l in range(2 * m + 1))
+        q.append(_exact_div(twice, 2))
+    e = [1]
+    for k in range(1, c + 1):
+        e.append(_exact_div(sum((-1) ** (i - 1) * e[k - i] * q[i] for i in range(1, k + 1)), k))
+    pcoeffs = [(-1) ** k * ek for k, ek in enumerate(e)]
     gcd = poly_gcd(pcoeffs, _derive(pcoeffs))
-    return dpoly, len(gcd) - 1 == 0
+    return IntPolynomial(tuple(pcoeffs)), len(gcd) - 1 == 0
 
 
-def _interpolate_int(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
-    """Exact Lagrange interpolation through integer points; asserts the
-    result has integer coefficients."""
-    k = len(xs)
-    master = [Fraction(1)]
-    for x in xs:
-        master = _poly_mul(master, [Fraction(1), Fraction(-x)])
-    acc = [Fraction(0)] * k
-    for j, (xj, yj) in enumerate(zip(xs, ys)):
-        basis, rem = _poly_divmod(master, [Fraction(1), Fraction(-xj)])
-        if rem:
-            raise ArithmeticError("interpolation nodes are not distinct")
-        den = Fraction(1)
-        for i, xi in enumerate(xs):
-            if i != j:
-                den *= xj - xi
-        scale = Fraction(yj) / den
-        offset = k - len(basis)
-        for idx, b in enumerate(basis):
-            acc[idx + offset] += scale * b
-    out = []
-    for cf in _poly_trim(acc):
-        if cf.denominator != 1:
-            raise ArithmeticError("interpolation gave a non-integer coefficient")
-        out.append(cf.numerator)
-    return out
+def _exact_div(a: int, b: int) -> int:
+    quot, rem = divmod(a, b)
+    if rem:
+        raise ArithmeticError(f"inexact division of {a} by {b}")
+    return quot

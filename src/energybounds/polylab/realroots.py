@@ -17,6 +17,7 @@ from typing import Sequence
 from .intpoly import (
     IntPolynomial,
     _derive,
+    _horner,
     _poly_trim,
     _primitive_int,
     _pseudo_rem,
@@ -69,13 +70,7 @@ def _variations(signs: Sequence[int]) -> int:
 
 
 def _variations_at(chain: Sequence[Sequence[int]], x: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        acc = Fraction(0)
-        for c in poly:
-            acc = acc * x + c
-        signs.append(_sign(acc))
-    return _variations(signs)
+    return _variations([_sign(_horner(poly, x)) for poly in chain])
 
 
 def _variations_inf(chain: Sequence[Sequence[int]], positive: bool) -> int:
@@ -101,18 +96,11 @@ def count_real_roots(
     coeffs = poly.coeffs if isinstance(poly, IntPolynomial) else tuple(poly)
     chain = sturm_chain(coeffs)
     for endpoint in (lo, hi):
-        if endpoint is not None and _eval_fraction(coeffs, Fraction(endpoint)) == 0:
+        if endpoint is not None and _horner(coeffs, Fraction(endpoint)) == 0:
             raise ValueError(f"interval endpoint {endpoint} is a root")
     v_lo = _variations_inf(chain, False) if lo is None else _variations_at(chain, Fraction(lo))
     v_hi = _variations_inf(chain, True) if hi is None else _variations_at(chain, Fraction(hi))
     return v_lo - v_hi
-
-
-def _eval_fraction(coeffs: Sequence[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
 
 
 def squarefree_degree(coeffs: Sequence[int]) -> int:
@@ -168,13 +156,13 @@ def certified_roots(poly: IntPolynomial) -> RootClassification:
             roots.append(_refine_root(coeffs, a, b))
             continue
         mid = (a + b) / 2
-        if _eval_fraction(coeffs, mid) == 0:
+        if _horner(coeffs, mid) == 0:
             roots.append(float(mid))
             # shave the exact root off the left half: find a point below it
             # but above every other root in (a, mid)
             delta = (b - a) / 4
             while (
-                _eval_fraction(coeffs, mid - delta) == 0
+                _horner(coeffs, mid - delta) == 0
                 or _variations_at(chain, mid - delta) - _variations_at(chain, mid) != 1
             ):
                 delta /= 2
@@ -185,7 +173,7 @@ def certified_roots(poly: IntPolynomial) -> RootClassification:
             v_mid = _variations_at(chain, mid)
             delta = (b - mid) / 2
             while (
-                _eval_fraction(coeffs, mid + delta) == 0
+                _horner(coeffs, mid + delta) == 0
                 or v_mid - _variations_at(chain, mid + delta) != 0
             ):
                 delta /= 2
@@ -201,14 +189,14 @@ def certified_roots(poly: IntPolynomial) -> RootClassification:
 
 def _refine_root(coeffs: Sequence[int], a: Fraction, b: Fraction) -> float:
     """Bisect (a, b] with exact signs to width 1e-12, then Newton-polish."""
-    fb = _eval_fraction(coeffs, b)
+    fb = _horner(coeffs, b)
     if fb == 0:
         return float(b)
-    fa = _eval_fraction(coeffs, a)
+    fa = _horner(coeffs, a)
     sa = _sign(fa)
     while b - a > Fraction(1, 10**12):
         mid = (a + b) / 2
-        fm = _eval_fraction(coeffs, mid)
+        fm = _horner(coeffs, mid)
         if fm == 0:
             return float(mid)
         if _sign(fm) == sa:
@@ -218,8 +206,8 @@ def _refine_root(coeffs: Sequence[int], a: Fraction, b: Fraction) -> float:
     x = float((a + b) / 2)
     deriv = _derive(list(coeffs))
     for _ in range(4):
-        fx = _eval_float(coeffs, x)
-        dx = _eval_float(deriv, x)
+        fx = _horner(coeffs, x)
+        dx = _horner(deriv, x)
         if dx == 0.0:
             break
         step = fx / dx
@@ -227,13 +215,6 @@ def _refine_root(coeffs: Sequence[int], a: Fraction, b: Fraction) -> float:
             break
         x -= step
     return x
-
-
-def _eval_float(coeffs: Sequence[int], x: float) -> float:
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * x + float(c)
-    return acc
 
 
 def is_totally_positive(poly: IntPolynomial) -> bool:

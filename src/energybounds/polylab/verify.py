@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..core import hyperfactorial, power_sums_from_coeffs
+from ..core import a_factor_log, hyperfactorial, power_sums_from_coeffs
 from .factor import MAX_DEGREE, is_irreducible
 from .intpoly import IntPolynomial, discriminant_exact, diffsq_poly
 from .realroots import count_real_roots, is_totally_positive, squarefree_degree
@@ -106,7 +106,7 @@ def verify_theorem2(poly: IntPolynomial) -> PolyReport:
 
     log_delta = math.log(delta) if delta > 0 else -math.inf
     lhs_log = c * (math.log(energy) - math.log(c)) if energy > 0 else -math.inf
-    rhs_log = c * math.log(2 * n) - _log_hyper(n) + log_delta
+    rhs_log = a_factor_log(n) + log_delta
     if delta <= 0:
         margin = math.inf
     else:
@@ -130,7 +130,3 @@ def verify_theorem2(poly: IntPolynomial) -> PolyReport:
         thm2_margin_log=margin,
         edelta_margin_log=edelta_margin,
     )
-
-
-def _log_hyper(n: int) -> float:
-    return math.fsum(k * math.log(k) for k in range(2, n + 1))

@@ -187,22 +187,35 @@ def test_json_output_is_byte_identical(capsys):
 
 
 def test_threads_from_env(capsys, monkeypatch):
+    argv = ["corpus", "enumerate", "--max-degree", "3", "--json"]
     monkeypatch.setenv("ENERGY_BOUNDS_THREADS", "2")
-    payload = _json_out(
-        capsys,
-        ["oracle", "power", "--n", "3", "--r", "3", "--s1", "3", "--sr", "9",
-         "--restarts", "2", "--json"],
-    )
+    payload = _json_out(capsys, argv)
     assert payload["inputs"]["threads"] == 2
     # an explicit flag wins over the environment
-    payload = _json_out(
-        capsys,
-        ["oracle", "power", "--n", "3", "--r", "3", "--s1", "3", "--sr", "9",
-         "--restarts", "2", "--threads", "3", "--json"],
-    )
+    payload = _json_out(capsys, argv + ["--threads", "3"])
     assert payload["inputs"]["threads"] == 3
     monkeypatch.setenv("ENERGY_BOUNDS_THREADS", "soon")
-    assert run(["oracle", "power", "--n", "3", "--r", "3", "--s1", "3", "--sr", "9", "--json"]) == 2
+    assert run(argv) == 2
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+def test_json_is_strict(capsys):
+    # Delta < 0 makes the log margins -inf; they must print as null
+    assert run(["poly", "verify", "--coeffs", "1 0 1", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["result"]["thm2_margin_log"] is None
+    assert payload["result"]["thm2_lhs_log"] is None
+    assert payload["result"]["Delta"] == -4
+    # a tab in the echoed input must be escaped, not written raw
+    assert run(["poly", "verify", "--coeffs", "1\t-3\t1", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert "\t" not in out
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["inputs"]["coeffs"] == "1\t-3\t1"
+    assert payload["result"]["E"] == 5
 
 
 # --- polynomials -------------------------------------------------------------------

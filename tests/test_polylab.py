@@ -399,3 +399,45 @@ def test_corpus_to_csv_golden():
         "degree,coeffs,trace,E,Delta,diffsq_squarefree,thm2_margin_log\n"
         "2,1|-3|1,3,5,5,true,0\n"
     )
+
+
+# --- independent exact cross-check against sympy ---------------------------------
+
+
+def _sympy_cases():
+    """30 seeded monic polynomials of degree 2-9, coefficients in [-9, 9].
+
+    24 have uniform random coefficients (most have complex pairs); 6 are
+    (x - a)^2 g, kept only when their coefficients stay in range, so the
+    set includes repeated roots, whose squared-difference polynomial has
+    the root 0.
+    """
+    rng = np.random.default_rng(2022)
+    cases = []
+    for i in range(24):
+        deg = 2 + i % 8
+        cases.append(IntPolynomial((1, *(int(c) for c in rng.integers(-9, 10, size=deg)))))
+    while len(cases) < 30:
+        a = int(rng.integers(-2, 3))
+        g = IntPolynomial((1, *(int(c) for c in rng.integers(-1, 2, size=int(rng.integers(1, 8))))))
+        poly = IntPolynomial.from_roots([a, a]) * g
+        if max(abs(c) for c in poly.coeffs) <= 9:
+            cases.append(poly)
+    return cases
+
+
+def test_polylab_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    y, z = sympy.symbols("y z")
+    for poly in _sympy_cases():
+        n = poly.degree
+        f = sympy.Poly(poly.coeffs, y)
+        # Res_y(f(y), f(y+z)) = z^n P(z^2)
+        res = sympy.Poly(sympy.resultant(f.as_expr(), f.as_expr().subs(y, y + z), y), z)
+        ref = res.exquo(sympy.Poly(z**n, z)).all_coeffs()
+        assert all(c == 0 for c in ref[1::2])
+        dpoly, squarefree = diffsq_poly(poly)
+        assert list(dpoly.coeffs) == [int(c) for c in ref[::2]], poly
+        assert squarefree == sympy.Poly(ref[::2], z).is_sqf, poly
+        assert discriminant_exact(poly) == int(sympy.discriminant(f)), poly
+        assert is_irreducible(poly) == f.is_irreducible, poly
