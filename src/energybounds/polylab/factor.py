@@ -4,6 +4,11 @@ Strategy: any monic factor over the integers is the product of a subset of
 the complex roots, so we enumerate root subsets up to half the degree,
 round the resulting coefficients, and confirm candidates by exact integer
 division.  Numerics only ever *propose* a factor; the verdict is exact.
+
+The roots come from ``np.roots``, Newton-polished on the integer
+coefficients, and are kept only when the product of all n linear factors
+rounds back to the polynomial, which shows no root was lost or found
+twice.  Otherwise real-rooted input falls back to ``certified_roots``.
 """
 
 from __future__ import annotations
@@ -23,12 +28,13 @@ _ROUND_TOL = 0.2
 
 
 def _all_roots(poly: IntPolynomial) -> list[complex]:
-    cls = certified_roots(poly)
-    if cls.kind is RootKind.ALL_REAL_DISTINCT:
-        zs = [complex(r) for r in cls.roots]
-    else:
-        zs = [complex(z) for z in np.roots([float(c) for c in poly.coeffs])]
-    return [_polish(poly.coeffs, z) for z in zs]
+    coeffs = poly.coeffs
+    roots = [_polish(coeffs, complex(z)) for z in np.roots([float(c) for c in coeffs])]
+    if _candidate_factor(roots) != list(coeffs):
+        cls = certified_roots(poly)
+        if cls.kind is RootKind.ALL_REAL_DISTINCT:
+            roots = [_polish(coeffs, complex(r)) for r in cls.roots]
+    return roots
 
 
 def _polish(coeffs, z: complex) -> complex:

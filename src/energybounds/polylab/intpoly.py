@@ -267,7 +267,7 @@ def diffsq_poly(poly: IntPolynomial) -> tuple[IntPolynomial, bool]:
     differences; P has coefficients (-1)^k e_k.  Both divisions are exact,
     so every value is an integer.  The second return value reports whether
     P is squarefree, i.e. whether the squared differences are pairwise
-    distinct.
+    distinct; ``_coprime_mod_q`` certifies most cases, exact Euclid the rest.
     """
     if not poly.is_monic:
         raise ValueError("polynomial must be monic")
@@ -284,8 +284,9 @@ def diffsq_poly(poly: IntPolynomial) -> tuple[IntPolynomial, bool]:
     for k in range(1, c + 1):
         e.append(_exact_div(sum((-1) ** (i - 1) * e[k - i] * q[i] for i in range(1, k + 1)), k))
     pcoeffs = [(-1) ** k * ek for k, ek in enumerate(e)]
-    gcd = poly_gcd(pcoeffs, _derive(pcoeffs))
-    return IntPolynomial(tuple(pcoeffs)), len(gcd) - 1 == 0
+    deriv = _derive(pcoeffs)
+    squarefree = _coprime_mod_q(pcoeffs, deriv) or len(poly_gcd(pcoeffs, deriv)) == 1
+    return IntPolynomial(tuple(pcoeffs)), squarefree
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -293,3 +294,21 @@ def _exact_div(a: int, b: int) -> int:
     if rem:
         raise ArithmeticError(f"inexact division of {a} by {b}")
     return quot
+
+
+_Q = 2**61 - 1  # a Mersenne prime
+
+
+def _coprime_mod_q(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Whether gcd(a mod q, b mod q) is constant; True certifies that a
+    and b are coprime over the integers when a is monic (W. S. Brown, J. ACM
+    18, 1971): a common factor can then be taken monic with integer
+    coefficients, and it stays a common factor of positive degree mod q.
+    """
+    fa = _poly_trim([c % _Q for c in a])
+    fb = _poly_trim([c % _Q for c in b])
+    while fb:
+        inv = pow(fb[0], -1, _Q)
+        fb = [c * inv % _Q for c in fb]
+        fa, fb = fb, _poly_trim([c % _Q for c in _divmod_monic_int(fa, fb)[1]])
+    return len(fa) == 1

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from ..core import a_factor_log, hyperfactorial, power_sums_from_coeffs
 from .factor import MAX_DEGREE, is_irreducible
 from .intpoly import IntPolynomial, discriminant_exact, diffsq_poly
-from .realroots import count_real_roots, is_totally_positive, squarefree_degree
+from .realroots import count_real_roots, root_census, squarefree_degree
+from .realroots import is_totally_positive  # noqa: F401 - perfbench's tracer wraps this name
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,18 @@ class PolyReport:
         return self.S1
 
 
-def verify_theorem2(poly: IntPolynomial) -> PolyReport:
+def verify_theorem2(
+    poly: IntPolynomial,
+    census: tuple[int, int, int] | None = None,
+    irreducible: bool | None = None,
+) -> PolyReport:
     """Fill a PolyReport for a monic integer polynomial.
+
+    A caller that already has ``census`` (the ``root_census`` triple) or
+    ``irreducible`` (the ``is_irreducible`` verdict) passes it, and it is
+    used as given.  One root census gives ``all_real`` and
+    ``totally_positive``; with a zero constant term, which the census
+    rejects, a Sturm count and the squarefree degree give ``all_real``.
 
     Degree 1 is the empty-product case: E = 0, Delta = 1, and the
     inequality holds with equality (both sides 1 after clearing the
@@ -71,53 +82,45 @@ def verify_theorem2(poly: IntPolynomial) -> PolyReport:
     delta = discriminant_exact(poly)
     c = math.comb(n, 2)
 
-    distinct = squarefree_degree(poly.coeffs)
-    all_real = count_real_roots(poly.coeffs) == distinct
+    if poly.coeffs[-1] == 0:
+        all_real = count_real_roots(poly.coeffs) == squarefree_degree(poly.coeffs)
+        totally_positive = False
+    else:
+        real, positive, distinct = census if census is not None else root_census(poly)
+        all_real = real == distinct
+        totally_positive = all_real and positive == distinct
+    if irreducible is None and n <= MAX_DEGREE:
+        irreducible = is_irreducible(poly)
     hypothesis = (n - 1) * s2 < s1 * s1 < n * s2
 
     if n == 1:
-        return PolyReport(
-            poly=poly,
-            all_real=True,
-            totally_positive=is_totally_positive(poly),
-            irreducible=True,
-            S1=s1,
-            S2=s2,
-            E=energy,
-            Delta=delta,
-            diffsq_squarefree=True,
-            hypothesis_holds=hypothesis,
-            thm2_holds=True,
-            thm2_lhs_log=0.0,
-            thm2_rhs_log=0.0,
-            thm2_margin_log=0.0,
-            edelta_margin_log=0.0,
-        )
-
-    dpoly, squarefree = diffsq_poly(poly)
-    assert -dpoly.coeffs[1] == energy, "trace of the squared-difference poly must equal E"
-
-    if delta > 0 and energy >= 0:
-        thm2_holds = energy**c * hyperfactorial(n) >= c**c * (2 * n) ** c * delta
-    elif delta <= 0:
-        thm2_holds = True  # right side <= 0 <= any admissible energy
+        squarefree = thm2_holds = True
+        lhs_log = rhs_log = margin = edelta_margin = 0.0
     else:
-        thm2_holds = False
+        dpoly, squarefree = diffsq_poly(poly)
+        assert -dpoly.coeffs[1] == energy, "trace of the squared-difference poly must equal E"
 
-    log_delta = math.log(delta) if delta > 0 else -math.inf
-    lhs_log = c * (math.log(energy) - math.log(c)) if energy > 0 else -math.inf
-    rhs_log = a_factor_log(n) + log_delta
-    if delta <= 0:
-        margin = math.inf
-    else:
-        margin = lhs_log - rhs_log
-    edelta_margin = lhs_log - log_delta if delta > 0 and energy > 0 else None
+        if delta > 0 and energy >= 0:
+            thm2_holds = energy**c * hyperfactorial(n) >= c**c * (2 * n) ** c * delta
+        elif delta <= 0:
+            thm2_holds = True  # right side <= 0 <= any admissible energy
+        else:
+            thm2_holds = False
+
+        log_delta = math.log(delta) if delta > 0 else -math.inf
+        lhs_log = c * (math.log(energy) - math.log(c)) if energy > 0 else -math.inf
+        rhs_log = a_factor_log(n) + log_delta
+        if delta <= 0:
+            margin = math.inf
+        else:
+            margin = lhs_log - rhs_log
+        edelta_margin = lhs_log - log_delta if delta > 0 and energy > 0 else None
 
     return PolyReport(
         poly=poly,
         all_real=all_real,
-        totally_positive=is_totally_positive(poly),
-        irreducible=is_irreducible(poly) if n <= MAX_DEGREE else None,
+        totally_positive=totally_positive,
+        irreducible=irreducible,
         S1=s1,
         S2=s2,
         E=energy,

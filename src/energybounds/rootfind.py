@@ -62,18 +62,6 @@ class AlphaRoot:
     at_boundary: bool = False
 
 
-class BranchDiagnostics(NamedTuple):
-    """The two-value configuration in ratio form: x/y = t, x = t*y."""
-
-    t: float
-    m: float
-
-    @classmethod
-    def from_alpha(cls, alpha: float, n: int, k: int) -> "BranchDiagnostics":
-        m = n / k - 1.0
-        return cls((1.0 + alpha * m) / (1.0 - alpha), m)
-
-
 class BranchExistence(NamedTuple):
     negative: bool
     positive: bool

@@ -32,6 +32,8 @@ from energybounds.polylab import (
     squarefree_degree,
     verify_theorem2,
 )
+from energybounds.polylab import corpus, factor, intpoly
+from energybounds.polylab.intpoly import _derive
 from energybounds.polylab.realroots import root_census
 
 P123 = IntPolynomial((1, -6, 11, -6))  # (x-1)(x-2)(x-3)
@@ -426,7 +428,21 @@ def _sympy_cases():
     return cases
 
 
-def test_polylab_matches_sympy():
+@pytest.fixture(scope="module")
+def corpus6():
+    """(leaves, members) of ``enumerate_corpus(6)``: the leaves are the
+    polynomials that pass the root census and reach the irreducibility test,
+    as the enumerator sees them."""
+    leaves = []
+    with pytest.MonkeyPatch.context() as mp:
+        real = corpus.is_irreducible
+        mp.setattr(corpus, "is_irreducible", lambda poly: leaves.append(poly) or real(poly))
+        members = enumerate_corpus(6)
+    assert len(leaves) == 268 and len(members) == 19
+    return leaves, members
+
+
+def test_polylab_matches_sympy(corpus6):
     sympy = pytest.importorskip("sympy")
     y, z = sympy.symbols("y z")
     for poly in _sympy_cases():
@@ -441,3 +457,75 @@ def test_polylab_matches_sympy():
         assert squarefree == sympy.Poly(ref[::2], z).is_sqf, poly
         assert discriminant_exact(poly) == int(sympy.discriminant(f)), poly
         assert is_irreducible(poly) == f.is_irreducible, poly
+    leaves, _ = corpus6
+    for poly in leaves:
+        assert is_irreducible(poly) == sympy.Poly(poly.coeffs, y).is_irreducible, poly
+
+
+def test_is_irreducible_falls_back_to_certified_roots(monkeypatch, corpus6):
+    """Proposals that lose a root fail the full-product check, so the roots
+    come from certified isolation and every verdict is still sympy's.
+
+    The cases have distinct real roots and no root 0, the inputs on which
+    the fallback does not use ``np.roots``.
+    """
+    sympy = pytest.importorskip("sympy")
+    true_roots = np.roots
+
+    def one_root_twice(coeffs):
+        zs = true_roots(coeffs)
+        zs[1] = zs[0]
+        return zs
+
+    isolated = []
+    certified = factor.certified_roots
+    monkeypatch.setattr(factor.np, "roots", one_root_twice)
+    monkeypatch.setattr(factor, "certified_roots", lambda p: isolated.append(p) or certified(p))
+    leaves, _ = corpus6
+    cases = [
+        p for p in _sympy_cases() if p.coeffs[-1] and root_census(p)[::2] == (p.degree,) * 2
+    ] + leaves
+    x = sympy.Symbol("x")
+    for poly in cases:
+        assert is_irreducible(poly) == sympy.Poly(poly.coeffs, x).is_irreducible, poly
+    assert isolated == cases
+
+
+def test_diffsq_squarefree_flag_is_exact(monkeypatch):
+    """The modular certificate settles every squarefree case; exact Euclid
+    runs on the rest, which include roots in arithmetic progression, whose
+    squared differences repeat."""
+    euclid = []
+    real_gcd = intpoly.poly_gcd
+    monkeypatch.setattr(intpoly, "poly_gcd", lambda a, b: euclid.append(a) or real_gcd(a, b))
+    progressions = [
+        IntPolynomial.from_roots(range(1, 1 + n * step, step))
+        for n in range(3, 10)
+        for step in (1, 2)
+    ]
+    flags = []
+    for poly in _sympy_cases() + progressions:
+        dpoly, squarefree = diffsq_poly(poly)
+        p = list(dpoly.coeffs)
+        assert squarefree == (len(real_gcd(p, _derive(p))) == 1), poly
+        flags.append(squarefree)
+    assert len(euclid) == flags.count(False) >= len(progressions)
+
+
+def test_verify_theorem2_with_census_and_verdict(corpus6):
+    """Passing the census and the irreducibility verdict, as the corpus
+    does, gives the same report as computing them."""
+    _, members = corpus6
+    for report in members:
+        assert verify_theorem2(report.poly) == report
+    extra = [
+        IntPolynomial((1, -3)),
+        IntPolynomial((1, 0)),  # degree 1, zero constant term
+        IntPolynomial((1, 0, -1, 0)),  # x^3 - x
+        IntPolynomial((1, -2, 1, 0)),  # x (x - 1)^2
+        IntPolynomial((1, 0, 1, 0)),  # x^3 + x
+    ]
+    for poly in _sympy_cases() + extra:
+        census = root_census(poly) if poly.coeffs[-1] else None
+        got = verify_theorem2(poly, census, is_irreducible(poly))
+        assert got == verify_theorem2(poly), poly
