@@ -66,9 +66,7 @@ def verify_theorem2(
 
     A caller that already has ``census`` (the ``root_census`` triple) or
     ``irreducible`` (the ``is_irreducible`` verdict) passes it, and it is
-    used as given.  One root census gives ``all_real`` and
-    ``totally_positive``; with a zero constant term, which the census
-    rejects, a Sturm count and the squarefree degree give ``all_real``.
+    used as given; what is not passed is computed here.
 
     Degree 1 is the empty-product case: E = 0, Delta = 1, and the
     inequality holds with equality (both sides 1 after clearing the
@@ -82,7 +80,7 @@ def verify_theorem2(
     delta = discriminant_exact(poly)
     c = math.comb(n, 2)
 
-    if poly.coeffs[-1] == 0:
+    if poly.coeffs[-1] == 0:  # root_census rejects the root 0
         all_real = count_real_roots(poly.coeffs) == squarefree_degree(poly.coeffs)
         totally_positive = False
     else:

@@ -435,8 +435,8 @@ def corpus6():
     as the enumerator sees them."""
     leaves = []
     with pytest.MonkeyPatch.context() as mp:
-        real = corpus.is_irreducible
-        mp.setattr(corpus, "is_irreducible", lambda poly: leaves.append(poly) or real(poly))
+        original = corpus.is_irreducible
+        mp.setattr(corpus, "is_irreducible", lambda poly: leaves.append(poly) or original(poly))
         members = enumerate_corpus(6)
     assert len(leaves) == 268 and len(members) == 19
     return leaves, members
