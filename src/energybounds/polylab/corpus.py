@@ -15,7 +15,7 @@ are positive integers for such a polynomial, so
 
 Leaves are accepted by exact Sturm counts (n distinct real roots, all
 positive) and an exact irreducibility check, then reported through
-verify_theorem2, which reuses the census and the verdict.
+verify_theorem2.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .factor import is_irreducible
 from .intpoly import IntPolynomial
 from .realroots import root_census
 from .verify import PolyReport, verify_theorem2
+
 
 def default_trace_bound(n: int) -> int:
     """Exclusive trace bound: members satisfy trace < 2n."""
@@ -124,13 +125,13 @@ def _truncation_real_rooted(n: int, es: list[int]) -> bool:
 
 def _accept(n: int, es: list[int]) -> PolyReport | None:
     coeffs = _signed_coeffs(es)
-    real, positive, distinct = root_census(coeffs)
+    real, positive, _ = root_census(coeffs)
     if real != n or positive != n:  # n distinct positive real roots, hence squarefree
         return None
     poly = IntPolynomial(tuple(coeffs))
     if not is_irreducible(poly):
         return None
-    return verify_theorem2(poly, (real, positive, distinct), irreducible=True)
+    return verify_theorem2(poly)
 
 
 def corpus_to_csv(reports: Iterable[PolyReport]) -> str:

@@ -3,12 +3,13 @@
 Strategy: any monic factor over the integers is the product of a subset of
 the complex roots, so we enumerate root subsets up to half the degree,
 round the resulting coefficients, and confirm candidates by exact integer
-division.  Numerics only ever *propose* a factor; the verdict is exact.
+division.  Numerics only ever *propose* a factor.
 
-The roots come from ``np.roots``, Newton-polished on the integer
-coefficients, and are kept only when the product of all n linear factors
-rounds back to the polynomial, which shows no root was lost or found
-twice.  Otherwise real-rooted input falls back to ``certified_roots``.
+The roots are ``np.roots`` proposals, Newton-polished on the integer
+coefficients, kept when no two lie within a relative 1e-6 and all n linear
+factors multiply back to the polynomial; else real-rooted input falls back
+to ``certified_roots``.  So a "reducible" verdict is exact, while an
+"irreducible" one rests on the float accuracy of roots and subset products.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ _ROUND_TOL = 0.2
 def _all_roots(poly: IntPolynomial) -> list[complex]:
     coeffs = poly.coeffs
     roots = [_polish(coeffs, complex(z)) for z in np.roots([float(c) for c in coeffs])]
-    if _candidate_factor(roots) != list(coeffs):
+    pairs = itertools.combinations(roots, 2)
+    close = any(abs(a - b) <= 1e-6 * max(1.0, abs(a)) for a, b in pairs)
+    if close or _candidate_factor(roots) != list(coeffs):
         cls = certified_roots(poly)
         if cls.kind is RootKind.ALL_REAL_DISTINCT:
             roots = [_polish(coeffs, complex(r)) for r in cls.roots]
@@ -78,12 +81,9 @@ def is_irreducible(poly: IntPolynomial) -> bool:
             for i in subset:
                 prod *= roots[i]
             cand_const = (-1) ** m * prod
-            if abs(cand_const.imag) > _ROUND_TOL:
-                continue
             c0 = round(cand_const.real)
-            if abs(cand_const.real - c0) > _ROUND_TOL:
-                continue
-            if c0 == 0 or const % c0 != 0:
+            off = max(abs(cand_const.imag), abs(cand_const.real - c0))
+            if off > _ROUND_TOL or c0 == 0 or const % c0 != 0:
                 continue
             factor = _candidate_factor([roots[i] for i in subset])
             if factor is None:
@@ -103,12 +103,7 @@ def _candidate_factor(roots: list[complex]) -> list[int] | None:
             + [coeffs[i] - r * coeffs[i - 1] for i in range(1, len(coeffs))]
             + [-r * coeffs[-1]]
         )
-    out = []
-    for c in coeffs:
-        if abs(c.imag) > _ROUND_TOL:
-            return None
-        k = round(c.real)
-        if abs(c.real - k) > _ROUND_TOL:
-            return None
-        out.append(k)
+    out = [round(c.real) for c in coeffs]
+    if any(max(abs(c.imag), abs(c.real - k)) > _ROUND_TOL for c, k in zip(coeffs, out)):
+        return None
     return out

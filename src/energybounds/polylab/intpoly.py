@@ -300,11 +300,9 @@ _Q = 2**61 - 1  # a Mersenne prime
 
 
 def _coprime_mod_q(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Whether gcd(a mod q, b mod q) is constant; True certifies that a
-    and b are coprime over the integers when a is monic (W. S. Brown, J. ACM
-    18, 1971): a common factor can then be taken monic with integer
-    coefficients, and it stays a common factor of positive degree mod q.
-    """
+    """Whether gcd(a mod q, b mod q) is constant.  For monic a, True proves
+    a and b coprime over the integers (W. S. Brown, J. ACM 18, 1971): a common
+    factor could be taken monic, and it would stay a common factor mod q."""
     fa = _poly_trim([c % _Q for c in a])
     fb = _poly_trim([c % _Q for c in b])
     while fb:

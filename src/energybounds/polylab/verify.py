@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from ..core import a_factor_log, hyperfactorial, power_sums_from_coeffs
 from .factor import MAX_DEGREE, is_irreducible
 from .intpoly import IntPolynomial, discriminant_exact, diffsq_poly
-from .realroots import count_real_roots, root_census, squarefree_degree
-from .realroots import is_totally_positive  # noqa: F401 - perfbench's tracer wraps this name
+from .realroots import root_census
+# perfbench's tracer wraps these names here
+from .realroots import count_real_roots, is_totally_positive, squarefree_degree  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -57,16 +58,11 @@ class PolyReport:
         return self.S1
 
 
-def verify_theorem2(
-    poly: IntPolynomial,
-    census: tuple[int, int, int] | None = None,
-    irreducible: bool | None = None,
-) -> PolyReport:
+def verify_theorem2(poly: IntPolynomial) -> PolyReport:
     """Fill a PolyReport for a monic integer polynomial.
 
-    A caller that already has ``census`` (the ``root_census`` triple) or
-    ``irreducible`` (the ``is_irreducible`` verdict) passes it, and it is
-    used as given; what is not passed is computed here.
+    One ``root_census`` gives ``all_real`` and ``totally_positive``; a root
+    0 is split off first, since it is real and not positive.
 
     Degree 1 is the empty-product case: E = 0, Delta = 1, and the
     inequality holds with equality (both sides 1 after clearing the
@@ -80,15 +76,13 @@ def verify_theorem2(
     delta = discriminant_exact(poly)
     c = math.comb(n, 2)
 
-    if poly.coeffs[-1] == 0:  # root_census rejects the root 0
-        all_real = count_real_roots(poly.coeffs) == squarefree_degree(poly.coeffs)
-        totally_positive = False
-    else:
-        real, positive, distinct = census if census is not None else root_census(poly)
-        all_real = real == distinct
-        totally_positive = all_real and positive == distinct
-    if irreducible is None and n <= MAX_DEGREE:
-        irreducible = is_irreducible(poly)
+    coeffs = list(poly.coeffs)
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    real, positive, distinct = root_census(coeffs)
+    all_real = real == distinct
+    totally_positive = all_real and positive == distinct and poly.coeffs[-1] != 0
+    irreducible = is_irreducible(poly) if n <= MAX_DEGREE else None
     hypothesis = (n - 1) * s2 < s1 * s1 < n * s2
 
     if n == 1:
@@ -98,20 +92,15 @@ def verify_theorem2(
         dpoly, squarefree = diffsq_poly(poly)
         assert -dpoly.coeffs[1] == energy, "trace of the squared-difference poly must equal E"
 
-        if delta > 0 and energy >= 0:
-            thm2_holds = energy**c * hyperfactorial(n) >= c**c * (2 * n) ** c * delta
-        elif delta <= 0:
-            thm2_holds = True  # right side <= 0 <= any admissible energy
-        else:
-            thm2_holds = False
+        # with Delta <= 0 the right side is <= 0 <= any admissible energy
+        thm2_holds = delta <= 0 or (
+            energy >= 0 and energy**c * hyperfactorial(n) >= c**c * (2 * n) ** c * delta
+        )
 
         log_delta = math.log(delta) if delta > 0 else -math.inf
         lhs_log = c * (math.log(energy) - math.log(c)) if energy > 0 else -math.inf
         rhs_log = a_factor_log(n) + log_delta
-        if delta <= 0:
-            margin = math.inf
-        else:
-            margin = lhs_log - rhs_log
+        margin = lhs_log - rhs_log if delta > 0 else math.inf
         edelta_margin = lhs_log - log_delta if delta > 0 and energy > 0 else None
 
     return PolyReport(

@@ -512,20 +512,43 @@ def test_diffsq_squarefree_flag_is_exact(monkeypatch):
     assert len(euclid) == flags.count(False) >= len(progressions)
 
 
-def test_verify_theorem2_with_census_and_verdict(corpus6):
-    """Passing the census and the irreducibility verdict, as the corpus
-    does, gives the same report as computing them."""
+def test_is_irreducible_falls_back_on_close_proposals(monkeypatch):
+    """(x^2 + x - 1)(x^2 + 4x - 3) has the roots 0.618 and 0.646.  With the
+    first returned twice in place of the second, all n linear factors still
+    round back to the polynomial, so only the separation check catches it."""
+    sympy = pytest.importorskip("sympy")
+    poly = IntPolynomial((1, 5, 0, -7, 3))
+    zs = np.sort(np.roots([float(c) for c in poly.coeffs]))
+    zs[3] = zs[2]
+    polished = [factor._polish(poly.coeffs, complex(z)) for z in zs]
+    assert factor._candidate_factor(polished) == list(poly.coeffs)
+    isolated = []
+    certified = factor.certified_roots
+    monkeypatch.setattr(factor.np, "roots", lambda coeffs: zs.copy())
+    monkeypatch.setattr(factor, "certified_roots", lambda p: isolated.append(p) or certified(p))
+    x = sympy.Symbol("x")
+    assert is_irreducible(poly) is sympy.Poly(poly.coeffs, x).is_irreducible is False
+    assert isolated == [poly]
+
+
+def test_verify_theorem2_members_and_root_zero(corpus6):
+    """Each corpus member's report is what ``verify_theorem2`` gives on its
+    own, and with a root 0 split off before the census, ``all_real`` still
+    means as many distinct real roots as distinct roots."""
     _, members = corpus6
     for report in members:
         assert verify_theorem2(report.poly) == report
     extra = [
         IntPolynomial((1, -3)),
-        IntPolynomial((1, 0)),  # degree 1, zero constant term
+        IntPolynomial((1, 0)),  # x
+        IntPolynomial((1, 0, 0, 0)),  # x^3
         IntPolynomial((1, 0, -1, 0)),  # x^3 - x
         IntPolynomial((1, -2, 1, 0)),  # x (x - 1)^2
         IntPolynomial((1, 0, 1, 0)),  # x^3 + x
+        IntPolynomial((1, -3, 2, 0, 0)),  # x^2 (x - 1)(x - 2)
     ]
     for poly in _sympy_cases() + extra:
-        census = root_census(poly) if poly.coeffs[-1] else None
-        got = verify_theorem2(poly, census, is_irreducible(poly))
-        assert got == verify_theorem2(poly), poly
+        report = verify_theorem2(poly)
+        assert report.all_real == (count_real_roots(poly) == squarefree_degree(poly.coeffs)), poly
+        assert report.totally_positive == is_totally_positive(poly), poly
+    assert [verify_theorem2(p).all_real for p in extra] == [True] * 5 + [False, True]
