@@ -80,10 +80,8 @@ def is_irreducible(poly: IntPolynomial) -> bool:
             prod = 1.0 + 0j
             for i in subset:
                 prod *= roots[i]
-            cand_const = (-1) ** m * prod
-            c0 = round(cand_const.real)
-            off = max(abs(cand_const.imag), abs(cand_const.real - c0))
-            if off > _ROUND_TOL or c0 == 0 or const % c0 != 0:
+            c0 = _nearest_int((-1) ** m * prod)
+            if not c0 or const % c0 != 0:
                 continue
             factor = _candidate_factor([roots[i] for i in subset])
             if factor is None:
@@ -103,7 +101,11 @@ def _candidate_factor(roots: list[complex]) -> list[int] | None:
             + [coeffs[i] - r * coeffs[i - 1] for i in range(1, len(coeffs))]
             + [-r * coeffs[-1]]
         )
-    out = [round(c.real) for c in coeffs]
-    if any(max(abs(c.imag), abs(c.real - k)) > _ROUND_TOL for c, k in zip(coeffs, out)):
-        return None
-    return out
+    out = [_nearest_int(c) for c in coeffs]
+    return None if None in out else out
+
+
+def _nearest_int(z: complex) -> int | None:
+    """The integer within _ROUND_TOL of z in both parts, if there is one."""
+    k = round(z.real)
+    return k if max(abs(z.imag), abs(z.real - k)) <= _ROUND_TOL else None
