@@ -43,6 +43,7 @@ from .bounds import (
 from .core import REL_TOL, FeasibilityError, PowerSumConstraints, TraceNormConstraints
 from .oracle import CriticalConfig, extrema_search, extrema_trace_norm, extrema_two_value
 from .polylab import (
+    CorpusStats,
     corpus_to_csv,
     diffsq_poly,
     enumerate_corpus,
@@ -478,6 +479,7 @@ def _run_corpus(args) -> int:
         "prune_newton": not args.no_prune_newton,
         "prune_sturm": not args.no_prune_sturm,
     }
+    stats = CorpusStats()
     try:
         reports = enumerate_corpus(
             args.max_degree,
@@ -485,6 +487,7 @@ def _run_corpus(args) -> int:
             prune_newton=not args.no_prune_newton,
             prune_sturm=not args.no_prune_sturm,
             workers=threads,
+            stats=stats,
         )
     except ValueError as exc:
         return _usage_error(f"corpus enumerate: {exc}")
@@ -506,7 +509,7 @@ def _run_corpus(args) -> int:
             for r in reports
         ]
         result = {"count": len(reports), "per_degree": per_degree, "members": rows}
-        _emit(args, "corpus.enumerate", inputs, result, {})
+        _emit(args, "corpus.enumerate", inputs, result, {"stats": stats.as_dict()})
     else:
         sys.stdout.write(corpus_to_csv(reports))
     return 0

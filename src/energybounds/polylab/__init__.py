@@ -6,7 +6,7 @@ ODE-extremal polynomials, single-polynomial verification, and the
 trace-bounded corpus enumerator.
 """
 
-from .corpus import corpus_to_csv, default_trace_bound, enumerate_corpus
+from .corpus import CorpusStats, corpus_to_csv, default_trace_bound, enumerate_corpus
 from .factor import MAX_DEGREE, is_irreducible
 from .hermite import HermiteFamily, hermite_family
 from .intpoly import (
@@ -32,6 +32,7 @@ from .verify import PolyReport, verify_theorem2
 
 __all__ = [
     "MAX_DEGREE",
+    "CorpusStats",
     "HermiteFamily",
     "IntPolynomial",
     "PolyReport",

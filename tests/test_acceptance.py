@@ -393,6 +393,7 @@ def test_criterion_09_stretch_full_corpus_count():
         f"counted: {with_linear}); per-degree {dict(sorted(counts.items()))}, "
         f"{elapsed:.0f}s",
     )
+    assert {d: counts[d] for d in range(2, 8)} == {2: 1, 3: 1, 4: 2, 5: 4, 6: 11, 7: 40}
     assert total == 896
 
 

@@ -192,8 +192,11 @@ def test_threads_from_env(capsys, monkeypatch):
     payload = _json_out(capsys, argv)
     assert payload["inputs"]["threads"] == 2
     # an explicit flag wins over the environment
-    payload = _json_out(capsys, argv + ["--threads", "3"])
-    assert payload["inputs"]["threads"] == 3
+    again = _json_out(capsys, argv + ["--threads", "3"])
+    assert again["inputs"]["threads"] == 3
+    # the split into worker tasks changes neither the result nor the counters
+    assert again["result"] == payload["result"]
+    assert again["diagnostics"] == payload["diagnostics"]
     monkeypatch.setenv("ENERGY_BOUNDS_THREADS", "soon")
     assert run(argv) == 2
 
@@ -274,6 +277,10 @@ def test_corpus_json(capsys):
     assert result["per_degree"] == {"2": 1, "3": 1}
     assert result["members"][1]["coeffs"] == [1, -5, 6, -1]
     assert payload["inputs"]["prune_sturm"] is True
+    stats = payload["diagnostics"]["stats"]
+    assert stats["internal_nodes"] == {"2": [2], "3": [3, 16]}
+    assert stats["leaves"] - sum(stats["leaf_rejects"].values()) == result["count"]
+    assert set(stats["pruned"]) == {"certificate", "maclaurin", "newton", "exact_test"}
 
 
 def test_constants_siegel(capsys):

@@ -375,10 +375,89 @@ def test_corpus_through_degree_five():
 
 
 def test_corpus_prunes_only_skip_nonmembers():
-    baseline = [r.poly.coeffs for r in enumerate_corpus(4)]
+    baseline = [r.poly.coeffs for r in enumerate_corpus(5)]
     for flag in ("prune_maclaurin", "prune_newton", "prune_sturm"):
-        got = [r.poly.coeffs for r in enumerate_corpus(4, **{flag: False})]
+        got = [r.poly.coeffs for r in enumerate_corpus(5, **{flag: False})]
         assert got == baseline
+
+
+_ALL_PRUNES = (True, True, True)
+
+
+def _scanned_nodes(n, e1):
+    """(es, children) for every internal node below e_1, with the children
+    that the per-candidate ``_truncation_real_rooted`` scan keeps."""
+    stack = [[e1]]
+    while stack:
+        es = stack.pop()
+        if len(es) < n:
+            gd = corpus._truncation(n, es)
+            kids = corpus._children(n, es, gd, None, _ALL_PRUNES, corpus.CorpusStats())
+            yield es, kids
+            stack.extend(es + [e] for e in kids)
+
+
+def test_certified_children_match_scan():
+    """At every internal node of degree <= 5, and under four degree-6 e_1,
+    the certificate keeps exactly the children the exact scan keeps (leaves
+    are only narrowed, keeping every real-rooted one), and its claims hold
+    on every candidate around its interval."""
+    stats = corpus.CorpusStats()
+    starts = [(n, e1) for n in range(2, 6) for e1 in range(n, 2 * n)]
+    for n, e1 in starts + [(6, e1) for e1 in (6, 7, 8, 9)]:
+        for es, scanned in _scanned_nodes(n, e1):
+            gd = corpus._truncation(n, es)
+            zs = corpus._real_rows(corpus._root_proposals([gd]))[0]
+            certified = corpus._children(n, es, gd, zs, _ALL_PRUNES, stats)
+            if len(es) + 1 < n:
+                assert certified == scanned, (n, es)
+            else:
+                real_rooted = {e for e in scanned if corpus._truncation_real_rooted(n, es + [e])}
+                assert real_rooted <= set(certified) <= set(scanned), (n, es)
+            m = len(es) + 1
+            cap = math.comb(n, m) * e1**m // n**m
+            bounds = None if zs is None else corpus._child_bounds(n, gd, zs, cap)
+            if bounds is None:
+                continue
+            lo, sure_lo, sure_hi, hi = bounds
+            for e in range(max(1, lo - 3), min(cap, hi + 3) + 1):
+                passes = corpus._truncation_real_rooted(n, es + [e])
+                if sure_lo <= e <= sure_hi:
+                    assert passes, (n, es, e)
+                if not lo <= e <= hi:
+                    assert not passes, (n, es, e)
+    # the certificate, not the fallback scan, settled nearly everything
+    assert stats.certified_pass > 3 * stats.exact_tests
+    assert stats.fallback_nodes < sum(stats.nodes.values()) / 10
+
+
+@pytest.mark.parametrize("wrong", ["shifted", "one_root_twice", "one_root_lost"])
+def test_corpus_falls_back_on_wrong_proposals(monkeypatch, wrong):
+    """Root proposals off by 1e-3, with one root in place of another, or
+    with one missing fail the exact checks: every affected node scans its
+    candidates one by one, and the output is unchanged."""
+    reference = corpus.CorpusStats()
+    baseline = enumerate_corpus(5, stats=reference)
+    true_proposals = corpus._root_proposals
+
+    def proposals(polys):
+        zs = true_proposals(polys)
+        if wrong == "shifted":
+            return zs + 1e-3
+        if zs.shape[1] < 2:
+            return zs
+        if wrong == "one_root_lost":
+            return zs[:, 1:]
+        zs[:, 1] = zs[:, 0]
+        return zs
+
+    monkeypatch.setattr(corpus, "_root_proposals", proposals)
+    stats = corpus.CorpusStats()
+    assert enumerate_corpus(5, stats=stats) == baseline
+    assert stats.nodes == reference.nodes
+    affected = [v for (_, d), v in reference.nodes.items() if wrong == "shifted" or d >= 2]
+    assert stats.fallback_nodes == sum(affected)
+    assert stats.certified_pass == 0 if wrong == "shifted" else stats.certified_pass > 0
 
 
 def test_corpus_custom_trace_bound():
@@ -434,12 +513,37 @@ def corpus6():
     polynomials that pass the root census and reach the irreducibility test,
     as the enumerator sees them."""
     leaves = []
+    stats = corpus.CorpusStats()
     with pytest.MonkeyPatch.context() as mp:
         original = corpus.is_irreducible
         mp.setattr(corpus, "is_irreducible", lambda poly: leaves.append(poly) or original(poly))
-        members = enumerate_corpus(6)
+        members = enumerate_corpus(6, stats=stats)
     assert len(leaves) == 268 and len(members) == 19
-    return leaves, members
+    return leaves, members, stats
+
+
+def test_corpus_stats(corpus6):
+    """The counters of ``enumerate_corpus(6)``: the internal nodes per depth
+    are those of the per-candidate search, every child below depth n is
+    certified or tested, and the leaves split into members and rejects."""
+    leaves, members, stats = corpus6
+    record = stats.as_dict()
+    assert record["internal_nodes"] == {
+        "2": [2], "3": [3, 16], "4": [4, 46, 105], "5": [5, 100, 620, 756],
+        "6": [6, 185, 2408, 9454, 6178],
+    }
+    passed = record["certified_pass"] + record["exact_tests"] - record["pruned"]["exact_test"]
+    assert passed == sum(v for (_, d), v in stats.nodes.items() if d >= 2) == 19868
+    assert record["leaves"] - record["leaf_rejects"]["census"] == len(leaves)
+    assert record["leaf_rejects"]["reducible"] == len(leaves) - len(members)
+    # one root census per exact test and per leaf, far below the 95,000 of
+    # one census per candidate
+    assert record["exact_tests"] + record["leaves"] < 6000
+    workers = corpus.CorpusStats()
+    enumerate_corpus(4, workers=2, stats=workers)
+    alone = corpus.CorpusStats()
+    enumerate_corpus(4, stats=alone)
+    assert workers == alone
 
 
 def test_polylab_matches_sympy(corpus6):
@@ -457,7 +561,7 @@ def test_polylab_matches_sympy(corpus6):
         assert squarefree == sympy.Poly(ref[::2], z).is_sqf, poly
         assert discriminant_exact(poly) == int(sympy.discriminant(f)), poly
         assert is_irreducible(poly) == f.is_irreducible, poly
-    leaves, _ = corpus6
+    leaves, _, _ = corpus6
     for poly in leaves:
         assert is_irreducible(poly) == sympy.Poly(poly.coeffs, y).is_irreducible, poly
 
@@ -481,7 +585,7 @@ def test_is_irreducible_falls_back_to_certified_roots(monkeypatch, corpus6):
     certified = factor.certified_roots
     monkeypatch.setattr(factor.np, "roots", one_root_twice)
     monkeypatch.setattr(factor, "certified_roots", lambda p: isolated.append(p) or certified(p))
-    leaves, _ = corpus6
+    leaves, _, _ = corpus6
     cases = [
         p for p in _sympy_cases() if p.coeffs[-1] and root_census(p)[::2] == (p.degree,) * 2
     ] + leaves
@@ -535,7 +639,7 @@ def test_verify_theorem2_members_and_root_zero(corpus6):
     """Each corpus member's report is what ``verify_theorem2`` gives on its
     own, and with a root 0 split off before the census, ``all_real`` still
     means as many distinct real roots as distinct roots."""
-    _, members = corpus6
+    _, members, _ = corpus6
     for report in members:
         assert verify_theorem2(report.poly) == report
     extra = [
