@@ -42,7 +42,7 @@ _GRID = 40
 #: ... and reach about 2^-_REL times the root to each side of its proposal
 _REL = 30
 #: nodes per ``_root_proposals`` call
-_BATCH = 1024
+_BATCH = 128
 
 
 @dataclass
@@ -137,7 +137,11 @@ def _subtree(
     """Members below one node of the tree, sorted, with the subtree's counters.
 
     The walk is depth first over batches of up to ``_BATCH`` nodes of one
-    depth, so that one ``_root_proposals`` call serves a whole batch.
+    depth, so that one ``_root_proposals`` call serves a whole batch.  The
+    floats only propose: every child ``_children`` cuts is cut by an exact
+    integer inequality (Maclaurin, Newton, the certified interval of
+    ``_child_bounds``) or by the exact Sturm test, so the search visits the
+    same nodes as one exact test per candidate would.
     """
     n, start, prunes = task
     stats = CorpusStats()
@@ -253,8 +257,10 @@ def _truncation_real_rooted(n: int, es: list[int]) -> bool:
     With e_1..e_m fixed, the (n-m)-th derivative of every completion is the
     same degree-m polynomial; by Rolle it must itself have only real,
     strictly positive roots (multiplicities allowed) for f to qualify.
-    This is the exact test; ``_child_bounds`` settles most candidates
-    without it.
+    This is the exact test, one Sturm chain per call.  ``_child_bounds``
+    settles most candidates without it, by a proof in exact integers; the
+    candidates it cannot settle, and every candidate of a node whose
+    certificate fails, still come here.
     """
     real, positive, distinct = root_census(_truncation(n, es))
     return real == distinct and positive == distinct

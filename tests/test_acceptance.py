@@ -44,6 +44,7 @@ from energybounds import (
 )
 from energybounds.cli import run
 from energybounds.polylab import (
+    CorpusStats,
     IntPolynomial,
     diffsq_poly,
     enumerate_corpus,
@@ -381,7 +382,8 @@ def test_criterion_09_corpus_self_consistency():
 )
 def test_criterion_09_stretch_full_corpus_count():
     t0 = time.perf_counter()
-    members = enumerate_corpus(9)
+    stats = CorpusStats()
+    members = enumerate_corpus(9, stats=stats)
     counts = Counter(r.poly.degree for r in members)
     total = len(members)
     with_linear = total + len(enumerate_corpus(1))
@@ -391,7 +393,8 @@ def test_criterion_09_stretch_full_corpus_count():
         total == 896,
         f"stretch: degrees 2..9 total {total} (with the degree-1 polynomial "
         f"counted: {with_linear}); per-degree {dict(sorted(counts.items()))}, "
-        f"{elapsed:.0f}s",
+        f"pruned {dict(stats.pruned)}, {stats.exact_tests} exact tests, "
+        f"{stats.leaves} leaves, {elapsed:.0f}s",
     )
     assert {d: counts[d] for d in range(2, 8)} == {2: 1, 3: 1, 4: 2, 5: 4, 6: 11, 7: 40}
     assert total == 896
