@@ -6,7 +6,8 @@ Two mechanisms cross-check every closed-form bound:
   padded with zeros for the boundary strata — which is where constrained
   extrema of the energy must live;
 * randomized projected gradient search on the constraint manifold, which
-  knows nothing about the two-value structure.
+  knows nothing about the two-value structure.  One driver, ``_descend``,
+  with one projector, ``_project``, serves both constraint families.
 
 Both are deterministic given their inputs (and seed).
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -33,6 +35,8 @@ log = logging.getLogger(__name__)
 
 #: Joint relative tolerance for constraint restoration in the search.
 _PROJ_TOL = 1e-11
+#: Most shift/rescale rounds per projection.
+_PROJ_ROUNDS = 25
 
 
 class ConfigKind(Enum):
@@ -134,7 +138,8 @@ def extrema_search(
     """Projected-gradient extremes of E on the closure {S_1, S_r, x >= 0}.
 
     ``restarts`` seeded starts run per direction (minimize and maximize),
-    all rows advanced together in one vectorized loop.  Support sizes cycle
+    all rows advanced together in the vectorized loop that
+    :func:`extrema_trace_norm` shares.  Support sizes cycle
     deterministically through n, n-1, ..., ntilde_ceil so every admissible
     boundary stratum gets its own rows (when restarts >= k* + 1); a row
     never leaves its stratum — shrinking coordinates are floored at a
@@ -143,79 +148,38 @@ def extrema_search(
     step follows the energy gradient with backtracking, then re-projects:
     a uniform shift of the support restores S_1, a 1-D rescale toward the
     mean restores S_r, alternating to joint relative tolerance 1e-11.
-    Rows whose projection fails are excluded from the extremes and reported.
+    Failed rows are reseeded, then excluded from the extremes and reported.
     """
-    if not isinstance(restarts, int) or restarts < 1:
-        raise ValueError("restarts must be a positive integer")
     n, r, s1, sr = ps.n, ps.r, ps.s1, ps.sr
-    rows = 2 * restarts
     strata = n - ps.ntilde_ceil + 1
-    X = np.zeros((rows, n))
-    free = np.zeros((rows, n), dtype=bool)
 
-    def seed_row(row: int, attempt: int) -> None:
+    def start(row: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence([seed, row, attempt]))
         )
         size = n - (row % restarts) % strata
         support = np.arange(n) if size == n else rng.permutation(n)[:size]
-        X[row] = 0.0
-        free[row] = False
+        x = np.zeros(n)
         vals = rng.random(support.size) + 0.05
-        X[row, support] = vals / vals.sum() * s1
-        free[row, support] = True
+        x[support] = vals / vals.sum() * s1
+        return x, np.isin(np.arange(n), support)
 
-    for row in range(rows):
-        seed_row(row, 0)
-    # direction +1 minimizes E, -1 maximizes
-    direction = np.where(np.arange(rows) < restarts, 1.0, -1.0)
+    def on_manifold(X: np.ndarray, free: np.ndarray) -> np.ndarray:
+        return np.abs(np.where(free, X**r, 0.0).sum(axis=1) - sr) <= _PROJ_TOL * sr
 
-    X, ok = _project_power(X, free, s1, sr, r)
-    for attempt in range(1, 10):
-        if ok.all():
-            break
-        for row in np.flatnonzero(~ok):
-            seed_row(row, attempt)
-        X, ok = _project_power(X, free, s1, sr, r)
-    failed = ~ok
-    energy = _row_energy(X, n)
-    best = np.where(ok, direction * energy, np.inf)
-
-    eta0 = 0.1 * s1 / n
-    eta = np.full(rows, eta0)
-    active = ok.copy()
-    for _ in range(max_iters):
-        if not active.any():
-            break
-        raw = 2.0 * (n * X - s1) * direction[:, None]
-        grad = _tangent_step(raw, free, r * X ** (r - 1))
-        norm = np.sqrt((grad**2).sum(axis=1))
-        stalled = norm <= 1e-14 * s1
-        active &= ~stalled
-        step = np.where(norm > 0.0, eta / np.maximum(norm, 1e-300), 0.0)
-        trial = np.where(free, X - step[:, None] * grad, X)
-        # multiplicative floor: a coordinate shrinks by at most 1000x per
-        # accepted step, so rows stay strictly inside their stratum
-        np.maximum(trial, 1e-3 * X, out=trial)
-        trial, proj_ok = _project_power(trial, free, s1, sr, r)
-        phi = direction * _row_energy(trial, n)
-        # the projection may pin a coordinate at zero; reject such trials so
-        # the row keeps to its stratum (deeper strata have their own rows)
-        alive = np.where(free, trial, 1.0).min(axis=1) > 0.0
-        accept = active & proj_ok & alive & (phi < best)
-        X = np.where(accept[:, None], trial, X)
-        best = np.where(accept, phi, best)
-        eta = np.where(accept, np.minimum(eta * 1.3, 8 * eta0), eta * 0.5)
-        eta = np.where(active, eta, 0.0)
-        active &= eta > 1e-9 * eta0
-    if failed.any():
-        log.info("projection failed for %d of %d rows", int(failed.sum()), rows)
-    mins = best[: restarts][ok[: restarts]]
-    maxs = -best[restarts:][ok[restarts:]]
-    if mins.size == 0 or maxs.size == 0:
-        raise ArithmeticError("all search restarts failed to project onto the manifold")
     return SearchExtrema(
-        float(mins.min()), float(maxs.max()), tuple(np.flatnonzero(failed).tolist())
+        *_descend(
+            n, s1, restarts, max_iters, start,
+            reseeds=9,
+            scale_root=lambda mean, D, live: _scale_root_power(mean, D, live, sr, r),
+            on_manifold=on_manifold,
+            weight=lambda X: r * X ** (r - 1),
+            # multiplicative floor: a coordinate shrinks by at most 1000x per
+            # accepted step, so rows stay strictly inside their stratum
+            trial_floor=lambda X: 1e-3 * X,
+            proj_floor=0.0,
+            eta0=0.1 * s1 / n,
+        )
     )
 
 
@@ -246,7 +210,27 @@ def extrema_trace_norm(
                 e = mk * root.alpha**2 * (n * s) ** 2
                 cands.append(CriticalConfig(k, x, y, 0, e, ConfigKind.INTERIOR))
     values = [c.E for c in cands]
-    smin, smax, failed = _search_trace_norm(tn, restarts, seed, max_iters)
+    s1 = n * s
+    logp = tn.log_target + n * math.log(s)
+
+    def start(row: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, row])))
+        vals = rng.random(n) + 0.05
+        return vals / vals.sum() * s1, np.ones(n, dtype=bool)
+
+    def on_manifold(X: np.ndarray, free: np.ndarray) -> np.ndarray:
+        return np.abs(np.log(X).sum(axis=1) - logp) <= _PROJ_TOL * max(1.0, abs(logp))
+
+    smin, smax, failed = _descend(
+        n, s1, restarts, max_iters, start,
+        reseeds=0,
+        scale_root=lambda mean, D, live: _scale_root_prod(mean, D, logp),
+        on_manifold=on_manifold,
+        weight=lambda X: 1.0 / X,
+        trial_floor=lambda X: 1e-13 * s,
+        proj_floor=1e-13 * s1 / n,
+        eta0=0.1 * s,
+    )
     return TraceNormExtrema(
         min(min(values), smin),
         max(max(values), smax),
@@ -257,46 +241,78 @@ def extrema_trace_norm(
     )
 
 
-def _search_trace_norm(
-    tn: TraceNormConstraints, restarts: int, seed: int, max_iters: int
+def _descend(
+    n: int,
+    s1: float,
+    restarts: int,
+    max_iters: int,
+    start: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+    *,
+    reseeds: int,
+    scale_root: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    on_manifold: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    weight: Callable[[np.ndarray], np.ndarray],
+    trial_floor: Callable[[np.ndarray], np.ndarray | float],
+    proj_floor: float,
+    eta0: float,
 ) -> tuple[float, float, tuple[int, ...]]:
-    n, s = tn.n, tn.s
-    s1 = n * s
+    """Projected-gradient search over both constraint families.
+
+    Rows below ``restarts`` minimize E, the rest maximize it.
+    ``start(row, attempt)`` gives a row's values and support; rows whose
+    projection fails start again, up to ``reseeds`` times.  ``weight`` is
+    the second constraint's gradient, which the tangent step removes.
+    Returns (min E, max E, failed rows).
+    """
+    if not isinstance(restarts, int) or restarts < 1:
+        raise ValueError("restarts must be a positive integer")
+    if not isinstance(max_iters, int) or max_iters < 0:
+        raise ValueError("max_iters must be a nonnegative integer")
     rows = 2 * restarts
     X = np.zeros((rows, n))
+    free = np.zeros((rows, n), dtype=bool)
     for row in range(rows):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, row])))
-        vals = rng.random(n) + 0.05
-        X[row] = vals / vals.sum() * s1
+        X[row], free[row] = start(row, 0)
+    # direction +1 minimizes E, -1 maximizes
     direction = np.where(np.arange(rows) < restarts, 1.0, -1.0)
 
-    X, ok = _project_prod(X, s1, tn.log_target + n * math.log(s))
+    X, ok = _project(X, free, s1, proj_floor, scale_root, on_manifold)
+    for attempt in range(1, reseeds + 1):
+        if ok.all():
+            break
+        for row in np.flatnonzero(~ok):
+            X[row], free[row] = start(row, attempt)
+        X, ok = _project(X, free, s1, proj_floor, scale_root, on_manifold)
     failed = ~ok
     best = np.where(ok, direction * _row_energy(X, n), np.inf)
 
-    eta0 = 0.1 * s
     eta = np.full(rows, eta0)
     active = ok.copy()
-    logp = tn.log_target + n * math.log(s)
     for _ in range(max_iters):
         if not active.any():
             break
         raw = 2.0 * (n * X - s1) * direction[:, None]
-        grad = _tangent_step(raw, np.ones_like(X, dtype=bool), 1.0 / X)
+        grad = _tangent_step(raw, free, weight(X))
         norm = np.sqrt((grad**2).sum(axis=1))
         stalled = norm <= 1e-14 * s1
         active &= ~stalled
         step = np.where(norm > 0.0, eta / np.maximum(norm, 1e-300), 0.0)
-        trial = np.maximum(X - step[:, None] * grad, 1e-13 * s)
-        trial, proj_ok = _project_prod(trial, s1, logp)
+        trial = np.where(free, X - step[:, None] * grad, X)
+        np.maximum(trial, trial_floor(X), out=trial)
+        trial, proj_ok = _project(trial, free, s1, proj_floor, scale_root, on_manifold)
         phi = direction * _row_energy(trial, n)
-        accept = active & proj_ok & (phi < best)
+        # the projection may pin a coordinate at zero; reject such trials so
+        # the row keeps to its stratum (deeper strata have their own rows)
+        alive = np.where(free, trial, 1.0).min(axis=1) > 0.0
+        accept = active & proj_ok & alive & (phi < best)
         X = np.where(accept[:, None], trial, X)
         best = np.where(accept, phi, best)
         eta = np.where(accept, np.minimum(eta * 1.3, 8 * eta0), eta * 0.5)
         eta = np.where(active, eta, 0.0)
         active &= eta > 1e-9 * eta0
-    mins = best[: restarts][ok[: restarts]]
+    if failed.any():
+        log.info("projection failed for %d of %d rows", int(failed.sum()), rows)
+    mins = best[:restarts][ok[:restarts]]
     maxs = -best[restarts:][ok[restarts:]]
     if mins.size == 0 or maxs.size == 0:
         raise ArithmeticError("all search restarts failed to project onto the manifold")
@@ -333,36 +349,39 @@ def _tangent_step(grad: np.ndarray, mask: np.ndarray, w: np.ndarray) -> np.ndarr
     return np.where(degenerate[:, None], 0.0, v)
 
 
-def _project_power(
-    X: np.ndarray, free: np.ndarray, s1: float, sr: float, r: int, rounds: int = 25
+def _project(
+    X: np.ndarray,
+    free: np.ndarray,
+    s1: float,
+    floor: float,
+    scale_root: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    on_manifold: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Restore S_1 (uniform shift) and S_r (1-D rescale), alternating.
+    """Restore S_1 (uniform shift) and a second constraint (1-D rescale toward
+    the mean, t from ``scale_root``), alternating, with values clamped at ``floor``.
 
     Absent clamping one round is exact: the rescale direction sums to zero,
     so it preserves S_1.  Extra rounds only repair clamp-induced drift.
-    Returns the projected array and a per-row success mask.
+    Returns the projected array and the per-row ``on_manifold`` mask.
     """
-    rows = X.shape[0]
-    ok = np.zeros(rows, dtype=bool)
+    ok = np.zeros(X.shape[0], dtype=bool)
     # work on a private copy of the support: a coordinate the rescale pins
     # at zero stays there, so the shift/scale alternation on the remaining
     # coordinates can land on the manifold exactly instead of oscillating
     live = free.copy()
-    for _ in range(rounds):
+    for _ in range(_PROJ_ROUNDS):
         cnt = np.maximum(live.sum(axis=1), 1)
         cur = np.where(live, X, 0.0).sum(axis=1)
-        X = np.where(live, X + ((s1 - cur) / cnt)[:, None], X)
-        np.maximum(X, 0.0, out=X)
+        X = np.maximum(np.where(live, X + ((s1 - cur) / cnt)[:, None], X), floor)
         mean = (s1 / cnt)[:, None]
         D = np.where(live, X - mean, 0.0)
-        t = _scale_root_power(mean, D, live, sr, r)
+        t = scale_root(mean, D, live)
         good = np.isfinite(t)
-        scaled = np.maximum(mean + t[:, None] * D, 0.0)
+        scaled = np.maximum(mean + t[:, None] * D, floor)
         X = np.where(live & good[:, None], scaled, X)
         live &= ~(good[:, None] & (X <= 0.0))
         s1_err = np.abs(np.where(free, X, 0.0).sum(axis=1) - s1)
-        sr_err = np.abs(np.where(free, X**r, 0.0).sum(axis=1) - sr)
-        ok = (s1_err <= _PROJ_TOL * s1) & (sr_err <= _PROJ_TOL * sr)
+        ok = (s1_err <= _PROJ_TOL * s1) & on_manifold(X, free)
         if ok.all():
             break
     return X, ok
@@ -418,31 +437,7 @@ def _scale_root_power(
     return np.where(unsolvable, np.nan, t)
 
 
-def _project_prod(
-    X: np.ndarray, s1: float, logp: float, rounds: int = 25
-) -> tuple[np.ndarray, np.ndarray]:
-    """Restore S_1 and the product (in log form) on strictly positive rows."""
-    rows, n = X.shape
-    ok = np.zeros(rows, dtype=bool)
-    floor = 1e-13 * s1 / n
-    for _ in range(rounds):
-        cur = X.sum(axis=1)
-        X = np.maximum(X + ((s1 - cur) / n)[:, None], floor)
-        mean = s1 / n
-        D = X - mean
-        t = _scale_root_prod(mean, D, logp)
-        good = np.isfinite(t)
-        scaled = np.maximum(mean + t[:, None] * D, floor)
-        X = np.where(good[:, None], scaled, X)
-        s1_err = np.abs(X.sum(axis=1) - s1)
-        logp_err = np.abs(np.log(X).sum(axis=1) - logp)
-        ok = (s1_err <= _PROJ_TOL * s1) & (logp_err <= _PROJ_TOL * max(1.0, abs(logp)))
-        if ok.all():
-            break
-    return X, ok
-
-
-def _scale_root_prod(mean: float, D: np.ndarray, logp: float) -> np.ndarray:
+def _scale_root_prod(mean: np.ndarray, D: np.ndarray, logp: float) -> np.ndarray:
     """Solve sum log(mean + t D) = log p for the root with t >= 0, rowwise.
 
     h(t) = sum log(mean + t D) - log p is concave with h(0) >= 0 (AM-GM) and

@@ -175,6 +175,15 @@ def test_oracle_trace_norm_json(capsys):
     assert payload["result"]["max"] == pytest.approx(7.668396859688313, rel=1e-6)
 
 
+def test_oracle_bad_restarts_exit_1(capsys):
+    argv = ["oracle", "trace-norm", "--n", "3", "--s", "2", "--p", "6", "--restarts", "0",
+            "--json"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: usage: restarts must be a positive integer\n"
+
+
 def test_json_output_is_byte_identical(capsys):
     argv = ["oracle", "power", "--n", "4", "--r", "3", "--s1", "4", "--sr", "16",
             "--restarts", "3", "--seed", "7", "--json"]

@@ -79,16 +79,29 @@ def test_search_brackets_two_value():
         assert se.max >= tv.max - 1e-4 * scale
 
 
-def test_search_is_deterministic():
-    ps = PowerSumConstraints(4, 3, 4.0, 16.0)
-    a = extrema_search(ps, restarts=5, seed=42, max_iters=120)
-    b = extrema_search(ps, restarts=5, seed=42, max_iters=120)
+SEARCHES = {
+    "power": (extrema_search, PowerSumConstraints(4, 3, 4.0, 16.0)),
+    "trace_norm": (extrema_trace_norm, TraceNormConstraints(4, 1.5, 3.0)),
+}
+
+
+@pytest.mark.parametrize("family", SEARCHES)
+def test_search_is_deterministic(family):
+    search, constraints = SEARCHES[family]
+    a = search(constraints, restarts=5, seed=42, max_iters=120)
+    b = search(constraints, restarts=5, seed=42, max_iters=120)
     assert a == b
 
 
 def test_search_rejects_bad_restarts():
-    with pytest.raises(ValueError, match="restarts"):
-        extrema_search(PowerSumConstraints(3, 3, 3.0, 9.0), restarts=0)
+    for search, constraints in SEARCHES.values():
+        for kwargs, match in (
+            ({"restarts": 0}, "restarts"),
+            ({"restarts": -2}, "restarts"),
+            ({"max_iters": -1}, "max_iters"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                search(constraints, **kwargs)
 
 
 def test_trace_norm_witness():
