@@ -222,7 +222,7 @@ def _bisect_newton(
     Assumes f(lo) and f(hi) have opposite (or zero) signs.  Newton steps that
     leave the bracket fall back to bisection, so convergence is guaranteed;
     iteration stops when the residual target is met and the step has
-    collapsed, or after 80 evaluations.
+    collapsed, when a Newton step rounds to no move, or after 80 evaluations.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -262,10 +262,12 @@ def _bisect_newton(
             x_new = x - step
         else:
             x_new = math.nan
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)  # safeguard: fall back to bisection
+        # a Newton step that rounds to no move has converged; test it before
+        # the safeguard, which would replace it by a bisection step
         if x_new == x:
             break
+        if not (lo < x_new < hi):
+            x_new = 0.5 * (lo + hi)  # safeguard: fall back to bisection
         fx_new = f(x_new)
         iters += 1
         if fx_new == 0.0:

@@ -38,6 +38,9 @@ def test_trace_norm_witness_n3():
     root = solve_trace_norm_alpha(3, 1, 2.0, 6.0, Branch.NEGATIVE)
     assert root.alpha == pytest.approx(-0.266044443118978, abs=1e-12)
     assert _tn_lhs(root.alpha, 3, 1) == pytest.approx(6.0 / 8.0, abs=1e-10)
+    # Newton stops once its step rounds to no move (it used to bisect on for
+    # 11 more evaluations)
+    assert root.iterations <= 22
 
 
 def test_trace_norm_all_equal_limit():
