@@ -149,6 +149,7 @@ def extrema_search(
     a uniform shift of the support restores S_1, a 1-D rescale toward the
     mean restores S_r, alternating to joint relative tolerance 1e-11.
     Failed rows are reseeded, then excluded from the extremes and reported.
+    Raises ValueError unless restarts >= 1 and max_iters >= 0.
     """
     n, r, s1, sr = ps.n, ps.r, ps.s1, ps.sr
     strata = n - ps.ntilde_ceil + 1
@@ -192,9 +193,9 @@ def extrema_trace_norm(
     """Extremes of E on {sum x = ns, prod x = p, x > 0}.
 
     Critical configurations are two-valued (k copies of one value), giving
-    E = (n/k - 1)(ns)^2 alpha^2 for each k and branch; a projected search
-    with the product restored by 1-D rescale corroborates them.  Returns
-    the combined extremes plus both ingredients.
+    E = (n/k - 1)(ns)^2 alpha^2 for each k and branch; the search of
+    :func:`extrema_search`, with the product restored by 1-D rescale,
+    corroborates them.  Returns the combined extremes plus both ingredients.
     """
     n, s = tn.n, tn.s
     cands: list[CriticalConfig] = []
@@ -357,12 +358,14 @@ def _project(
     scale_root: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     on_manifold: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Restore S_1 (uniform shift) and a second constraint (1-D rescale toward
-    the mean, t from ``scale_root``), alternating, with values clamped at ``floor``.
+    """Restore S_1 and a second constraint, alternating, clamped at ``floor``.
 
-    Absent clamping one round is exact: the rescale direction sums to zero,
-    so it preserves S_1.  Extra rounds only repair clamp-induced drift.
-    Returns the projected array and the per-row ``on_manifold`` mask.
+    A uniform shift of the live support restores S_1; a 1-D rescale toward
+    the mean, by the t that ``scale_root`` solves for (NaN: no root),
+    restores the second.  Absent clamping one round is exact: the rescale
+    direction sums to zero, so it preserves S_1.  Extra rounds only repair
+    clamp-induced drift.  Returns the projected array and a per-row success
+    mask (S_1 within tolerance and ``on_manifold``).
     """
     ok = np.zeros(X.shape[0], dtype=bool)
     # work on a private copy of the support: a coordinate the rescale pins
