@@ -21,14 +21,16 @@ so the output is strict JSON.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import os
 import sys
+from enum import Enum
 from fractions import Fraction
 
 from .bounds import (
-    BoundReport,
     HypothesisViolationError,
     PotentialSpec,
     energy_lower_from_disc,
@@ -41,7 +43,7 @@ from .bounds import (
     siegel_constants,
 )
 from .core import REL_TOL, FeasibilityError, PowerSumConstraints, TraceNormConstraints
-from .oracle import CriticalConfig, extrema_search, extrema_trace_norm, extrema_two_value
+from .oracle import extrema_search, extrema_trace_norm, extrema_two_value
 from .polylab import (
     CorpusStats,
     corpus_to_csv,
@@ -57,16 +59,12 @@ _INFEASIBLE = (FeasibilityError, HypothesisViolationError, BranchMissingError)
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, but usage problems exit 1 (2 is reserved for bad data)."""
+    """argparse, but a usage problem raises ValueError, which :func:`run`
+    reports with exit 1 (2 is reserved for bad data)."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(_usage_error(f"{self.prog}: {message}"))
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: usage: {message}", file=sys.stderr)
-    return 1
+        raise ValueError(f"{self.prog}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +100,11 @@ def _to_json(value) -> str:
     return _to_json(str(value))
 
 
-def _emit(args, op: str, inputs: dict, result, diagnostics: dict) -> None:
-    if getattr(args, "json", False):
+def _emit(args, result, diagnostics: dict) -> None:
+    """Print one report; success and error reports echo the same inputs."""
+    op = f"{args.command}.{args.which}"
+    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "which", "json")}
+    if args.json:
         payload = {"op": op, "inputs": inputs, "result": result, "diagnostics": diagnostics}
         print(_to_json(payload))
     else:
@@ -130,35 +131,26 @@ def _emit_human(value, prefix: str) -> None:
         print(f"{prefix}: {value}")
 
 
-def _alpha_dict(root) -> dict | None:
-    if root is None:
-        return None
-    return {
-        "alpha": root.alpha,
-        "branch": root.branch.value,
-        "k": root.k,
-        "residual": root.residual,
-        "iterations": root.iterations,
-        "at_boundary": root.at_boundary,
-    }
-
-
-def _bound_result(report: BoundReport) -> dict:
-    return {
-        "value": report.value,
-        "formula": report.formula.value,
-        "alpha": _alpha_dict(report.alpha),
-    }
-
-
-def _config_dict(c: CriticalConfig) -> dict:
-    return {"k": c.k, "x": c.x, "y": c.y, "zeros": c.zeros, "E": c.E, "kind": c.kind.value}
+def _fields(report, skip: tuple[str, ...] = ()) -> dict:
+    """A dataclass report as a dict in field order; enums print by value."""
+    out = {}
+    for f in dataclasses.fields(report):
+        if f.name in skip:
+            continue
+        value = getattr(report, f.name)
+        if isinstance(value, Enum):
+            value = value.value
+        elif dataclasses.is_dataclass(value):
+            value = _fields(value)
+        out[f.name] = value
+    return out
 
 
 # ---------------------------------------------------------------------------
 # parser construction
 
 
+@functools.cache  # building it costs more than a typical operation; run() reuses one
 def _build_parser() -> _Parser:
     top = _Parser(prog="energy-bounds", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
@@ -174,6 +166,13 @@ def _build_parser() -> _Parser:
             default=RESIDUAL_TOL,
             help="solver residual tolerance (echoed in diagnostics)",
         )
+        return p
+
+    def with_search(p):
+        # declared first, so the echoed inputs lead with the search settings
+        with_common(p).add_argument("--restarts", type=int, default=16)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--max-iters", type=int, default=200)
         return p
 
     bound = sub.add_parser("bound", help="closed-form bounds").add_subparsers(
@@ -235,22 +234,16 @@ def _build_parser() -> _Parser:
         dest="which", required=True
     )
 
-    p = with_common(oracle.add_parser("power", help="extremes of E at fixed S1, Sr"))
+    p = with_search(oracle.add_parser("power", help="extremes of E at fixed S1, Sr"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s1", type=float, required=True)
     p.add_argument("--sr", type=float, required=True)
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=200)
 
-    p = with_common(oracle.add_parser("trace-norm", help="extremes of E at fixed trace, product"))
+    p = with_search(oracle.add_parser("trace-norm", help="extremes of E at fixed trace, product"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=200)
 
     poly = sub.add_parser("poly", help="exact polynomial reports").add_subparsers(
         dest="which", required=True
@@ -273,9 +266,9 @@ def _build_parser() -> _Parser:
     p = with_common(corpus.add_parser("enumerate", help="all members up to a degree"))
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--no-prune-maclaurin", action="store_true")
-    p.add_argument("--no-prune-newton", action="store_true")
-    p.add_argument("--no-prune-sturm", action="store_true")
+    p.add_argument("--no-prune-maclaurin", dest="prune_maclaurin", action="store_false")
+    p.add_argument("--no-prune-newton", dest="prune_newton", action="store_false")
+    p.add_argument("--no-prune-sturm", dest="prune_sturm", action="store_false")
 
     constants = sub.add_parser("constants", help="named constants").add_subparsers(
         dest="which", required=True
@@ -303,120 +296,87 @@ def _threads(args) -> int:
 # command bodies
 
 
-def _run_bound(args) -> int:
-    which = args.which
-    tol = {"tol": args.tol} if "tol" in args else {}
-    inputs = dict(tol)
-    if which == "emin-tn":
-        inputs.update(n=args.n, s=args.s, p=args.p)
-        report = energy_min_trace_norm(TraceNormConstraints(args.n, args.s, args.p), args.tol)
-    elif which == "emin-power":
-        inputs.update(n=args.n, r=args.r, s1=args.s1, sr=args.sr)
-        if args.r == 2:
-            return _identity_energy(args, inputs)
-        report = energy_min_power(
-            PowerSumConstraints(args.n, args.r, args.s1, args.sr), args.tol
-        )
-    elif which == "emax-power":
-        inputs.update(n=args.n, r=args.r, s1=args.s1, sr=args.sr)
-        if args.r == 2:
-            return _identity_energy(args, inputs)
-        report = energy_max_power(
-            PowerSumConstraints(args.n, args.r, args.s1, args.sr), args.tol
-        )
-    elif which == "reverse-amgm":
-        inputs.update(n=args.n, s=args.s, energy=args.energy)
-        report = reverse_amgm(args.n, args.s, args.energy)
-    elif which == "sr-upper":
-        inputs.update(n=args.n, r=args.r, s1=args.s1, energy=args.energy)
-        report = power_sum_upper(args.n, args.r, args.s1, args.energy)
-    elif which == "disc-lower":
-        inputs.update(n=args.n, delta=args.delta, s1=args.s1, s2=args.s2)
-        report = energy_lower_from_disc(args.n, args.delta, s1=args.s1, s2=args.s2)
-    else:
-        inputs.update(
-            n=args.n, s1=args.s1, delta=args.delta, a=args.a, b=args.b, c=args.c, d=args.d
-        )
-        spec = PotentialSpec(args.a, args.b, args.c, args.d)
-        report = potential_lower_from_disc(spec, args.n, args.s1, args.delta)
-    diagnostics = {**report.diagnostics, **tol}
-    _emit(args, f"bound.{which}", inputs, _bound_result(report), diagnostics)
-    return 0
-
-
-def _identity_energy(args, inputs: dict) -> int:
+def _fixed_energy(n: int, s1: float, s2: float) -> float:
     """r = 2 fixes the energy outright: E = n*S2 - S1^2, no bound needed."""
-    n, s1, s2 = args.n, args.s1, args.sr
     if s1 * s1 > n * s2 * (1.0 + REL_TOL):
         raise FeasibilityError("S1^2 <= n*S2", f"S1^2 = {s1 * s1} exceeds n*S2 = {n * s2}")
     if s2 > s1 * s1 * (1.0 + REL_TOL):
         raise FeasibilityError("S2 <= S1^2", f"S2 = {s2} exceeds S1^2 = {s1 * s1}")
-    value = max(n * s2 - s1 * s1, 0.0)
-    result = {"value": value, "formula": "EnergyIdentity", "alpha": None}
-    _emit(args, f"bound.{args.which}", inputs, result, {"tol": args.tol})
-    return 0
+    return max(n * s2 - s1 * s1, 0.0)
 
 
-def _run_oracle(args) -> int:
-    inputs = {"restarts": args.restarts, "seed": args.seed, "max_iters": args.max_iters}
-    if args.which == "power":
-        inputs.update(n=args.n, r=args.r, s1=args.s1, sr=args.sr)
+def _run_bound(args) -> tuple[dict, dict]:
+    which = args.which
+    tol = {"tol": args.tol} if "tol" in args else {}
+    if which == "emin-tn":
+        report = energy_min_trace_norm(TraceNormConstraints(args.n, args.s, args.p), args.tol)
+    elif which in ("emin-power", "emax-power"):
         if args.r == 2:
-            if args.s1 * args.s1 > args.n * args.sr * (1.0 + REL_TOL):
-                raise FeasibilityError("S1^2 <= n*S2", "trace too large for this S2")
-            if args.sr > args.s1 * args.s1 * (1.0 + REL_TOL):
-                raise FeasibilityError("S2 <= S1^2", "S2 too large for nonnegative reals")
-            e = max(args.n * args.sr - args.s1 * args.s1, 0.0)
-            result = {"min": e, "max": e, "candidates": [], "search": None}
-            _emit(args, "oracle.power", inputs, result, {"note": "energy fixed when r=2"})
-            return 0
-        ps = PowerSumConstraints(args.n, args.r, args.s1, args.sr)
-        two = extrema_two_value(ps)
-        search = extrema_search(ps, restarts=args.restarts, seed=args.seed, max_iters=args.max_iters)
+            value = _fixed_energy(args.n, args.s1, args.sr)
+            return {"value": value, "formula": "EnergyIdentity", "alpha": None}, tol
+        solve = energy_min_power if which == "emin-power" else energy_max_power
+        report = solve(PowerSumConstraints(args.n, args.r, args.s1, args.sr), args.tol)
+    elif which == "reverse-amgm":
+        report = reverse_amgm(args.n, args.s, args.energy)
+    elif which == "sr-upper":
+        report = power_sum_upper(args.n, args.r, args.s1, args.energy)
+    elif which == "disc-lower":
+        report = energy_lower_from_disc(args.n, args.delta, s1=args.s1, s2=args.s2)
+    else:
+        spec = PotentialSpec(args.a, args.b, args.c, args.d)
+        report = potential_lower_from_disc(spec, args.n, args.s1, args.delta)
+    return _fields(report, skip=("inputs", "diagnostics")), {**report.diagnostics, **tol}
+
+
+def _run_oracle(args) -> tuple[dict, dict]:
+    search_args = {"restarts": args.restarts, "seed": args.seed, "max_iters": args.max_iters}
+    if args.which == "trace-norm":
+        tn = TraceNormConstraints(args.n, args.s, args.p)
+        ext = extrema_trace_norm(tn, **search_args)
         result = {
-            "min": float(min(two.min, search.min)),
-            "max": float(max(two.max, search.max)),
-            "two_value": {"min": two.min, "max": two.max},
+            "min": float(ext.min),
+            "max": float(ext.max),
             "search": {
-                "min": float(search.min),
-                "max": float(search.max),
-                "failed": [int(i) for i in search.failed],
+                "min": float(ext.search_min),
+                "max": float(ext.search_max),
+                "failed": [int(i) for i in ext.failed],
             },
-            "candidates": [_config_dict(c) for c in two.candidates],
+            "candidates": [_fields(c) for c in ext.candidates],
         }
-        diagnostics = {
-            "ntilde": ps.ntilde,
-            "ntilde_ceil": ps.ntilde_ceil,
-            "k_star": ps.k_star,
-        }
-        _emit(args, "oracle.power", inputs, result, diagnostics)
-        return 0
-
-    inputs.update(n=args.n, s=args.s, p=args.p)
-    tn = TraceNormConstraints(args.n, args.s, args.p)
-    ext = extrema_trace_norm(tn, restarts=args.restarts, seed=args.seed, max_iters=args.max_iters)
+        return result, {}
+    if args.r == 2:
+        e = _fixed_energy(args.n, args.s1, args.sr)
+        result = {"min": e, "max": e, "candidates": [], "search": None}
+        return result, {"note": "energy fixed when r=2"}
+    ps = PowerSumConstraints(args.n, args.r, args.s1, args.sr)
+    two = extrema_two_value(ps)
+    search = extrema_search(ps, **search_args)
     result = {
-        "min": float(ext.min),
-        "max": float(ext.max),
+        "min": float(min(two.min, search.min)),
+        "max": float(max(two.max, search.max)),
+        "two_value": {"min": two.min, "max": two.max},
         "search": {
-            "min": float(ext.search_min),
-            "max": float(ext.search_max),
-            "failed": [int(i) for i in ext.failed],
+            "min": float(search.min),
+            "max": float(search.max),
+            "failed": [int(i) for i in search.failed],
         },
-        "candidates": [_config_dict(c) for c in ext.candidates],
+        "candidates": [_fields(c) for c in two.candidates],
     }
-    _emit(args, "oracle.trace-norm", inputs, result, {})
-    return 0
+    diagnostics = {
+        "ntilde": ps.ntilde,
+        "ntilde_ceil": ps.ntilde_ceil,
+        "k_star": ps.k_star,
+    }
+    return result, diagnostics
 
 
-def _run_poly(args) -> int:
+def _run_poly(args) -> tuple[dict, dict]:
     if args.which == "hermite":
-        inputs = {"n": args.n, "lam": args.lam, "mu": args.mu}
         try:
             lam = Fraction(args.lam)
             mu = Fraction(args.mu)
         except (ValueError, ZeroDivisionError) as exc:
-            return _usage_error(f"poly hermite: bad rational: {exc}")
+            raise ValueError(f"poly hermite: bad rational: {exc}") from exc
         fam = hermite_family(args.n, lam, mu)
         result = {
             "n": fam.n,
@@ -428,15 +388,12 @@ def _run_poly(args) -> int:
             "energy_identity": fam.energy_identity,
             "delta_identity": fam.delta_identity,
         }
-        _emit(args, "poly.hermite", inputs, result, {})
-        return 0
+        return result, {}
 
-    inputs = {"coeffs": args.coeffs}
     try:
         poly = parse_poly_line(args.coeffs)
     except ValueError as exc:
-        return _usage_error(f"poly {args.which}: {exc}")
-
+        raise ValueError(f"poly {args.which}: {exc}") from exc
     if args.which == "diffsq":
         dpoly, squarefree = diffsq_poly(poly)
         result = {
@@ -444,78 +401,50 @@ def _run_poly(args) -> int:
             "diffsq_coeffs": list(dpoly.coeffs),
             "squarefree": squarefree,
         }
-        _emit(args, "poly.diffsq", inputs, result, {})
-        return 0
-
+        return result, {}
     report = verify_theorem2(poly)
-    result = {
-        "coeffs": list(poly.coeffs),
-        "degree": poly.degree,
-        "all_real": report.all_real,
-        "totally_positive": report.totally_positive,
-        "irreducible": report.irreducible,
-        "S1": report.S1,
-        "S2": report.S2,
-        "E": report.E,
-        "Delta": report.Delta,
-        "diffsq_squarefree": report.diffsq_squarefree,
-        "hypothesis_holds": report.hypothesis_holds,
-        "thm2_holds": report.thm2_holds,
-        "thm2_lhs_log": report.thm2_lhs_log,
-        "thm2_rhs_log": report.thm2_rhs_log,
-        "thm2_margin_log": report.thm2_margin_log,
-        "edelta_margin_log": report.edelta_margin_log,
-    }
-    _emit(args, "poly.verify", inputs, result, {})
-    return 0
+    result = {"coeffs": list(poly.coeffs), "degree": poly.degree}
+    return {**result, **_fields(report, skip=("poly",))}, {}
 
 
-def _run_corpus(args) -> int:
-    threads = _threads(args)
-    inputs = {
-        "max_degree": args.max_degree,
-        "threads": threads,
-        "prune_maclaurin": not args.no_prune_maclaurin,
-        "prune_newton": not args.no_prune_newton,
-        "prune_sturm": not args.no_prune_sturm,
-    }
+def _run_corpus(args) -> tuple[dict, dict] | None:
+    args.threads = _threads(args)
     stats = CorpusStats()
     try:
         reports = enumerate_corpus(
             args.max_degree,
-            prune_maclaurin=not args.no_prune_maclaurin,
-            prune_newton=not args.no_prune_newton,
-            prune_sturm=not args.no_prune_sturm,
-            workers=threads,
+            prune_maclaurin=args.prune_maclaurin,
+            prune_newton=args.prune_newton,
+            prune_sturm=args.prune_sturm,
+            workers=args.threads,
             stats=stats,
         )
     except ValueError as exc:
-        return _usage_error(f"corpus enumerate: {exc}")
-    if args.json:
-        per_degree: dict = {}
-        for r in reports:
-            key = str(r.poly.degree)
-            per_degree[key] = per_degree.get(key, 0) + 1
-        rows = [
-            {
-                "degree": r.poly.degree,
-                "coeffs": list(r.poly.coeffs),
-                "trace": r.trace,
-                "E": r.E,
-                "Delta": r.Delta,
-                "diffsq_squarefree": r.diffsq_squarefree,
-                "thm2_margin_log": r.thm2_margin_log,
-            }
-            for r in reports
-        ]
-        result = {"count": len(reports), "per_degree": per_degree, "members": rows}
-        _emit(args, "corpus.enumerate", inputs, result, {"stats": stats.as_dict()})
-    else:
+        raise ValueError(f"corpus enumerate: {exc}") from exc
+    if not args.json:
         sys.stdout.write(corpus_to_csv(reports))
-    return 0
+        return None
+    per_degree: dict = {}
+    for r in reports:
+        key = str(r.poly.degree)
+        per_degree[key] = per_degree.get(key, 0) + 1
+    rows = [
+        {
+            "degree": r.poly.degree,
+            "coeffs": list(r.poly.coeffs),
+            "trace": r.trace,
+            "E": r.E,
+            "Delta": r.Delta,
+            "diffsq_squarefree": r.diffsq_squarefree,
+            "thm2_margin_log": r.thm2_margin_log,
+        }
+        for r in reports
+    ]
+    result = {"count": len(reports), "per_degree": per_degree, "members": rows}
+    return result, {"stats": stats.as_dict()}
 
 
-def _run_constants(args) -> int:
+def _run_constants(args) -> tuple[dict, dict]:
     sc = siegel_constants()
     result = {
         "theta": sc.theta,
@@ -524,44 +453,42 @@ def _run_constants(args) -> int:
         "two_over_sqrt_e": sc.two_over_sqrt_e,
         "residual": sc.residual,
     }
-    _emit(args, "constants.siegel", {}, result, {})
-    return 0
+    return result, {}
+
+
+_HANDLERS = {
+    "bound": _run_bound,
+    "oracle": _run_oracle,
+    "poly": _run_poly,
+    "corpus": _run_corpus,
+    "constants": _run_constants,
+}
 
 
 def run(argv: list[str]) -> int:
-    """Parse and execute; returns the process exit code."""
-    parser = _build_parser()
+    """Parse and execute; returns the process exit code.
+
+    Handlers only compute: each returns (result, diagnostics) for
+    :func:`_emit`, except ``corpus enumerate`` without ``--json``, which
+    prints its CSV itself and returns None.
+    """
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _build_parser().parse_args(argv)
+        output = _HANDLERS[args.command](args)
+    except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 1
-    handlers = {
-        "bound": _run_bound,
-        "oracle": _run_oracle,
-        "poly": _run_poly,
-        "corpus": _run_corpus,
-        "constants": _run_constants,
-    }
-    try:
-        return handlers[args.command](args)
     except _INFEASIBLE as exc:
-        condition = getattr(exc, "condition", "infeasible")
-        echoed = {
-            k: v for k, v in vars(args).items() if k not in ("command", "which", "json")
-        }
-        payload = {
-            "op": f"{args.command}.{getattr(args, 'which', '')}".rstrip("."),
-            "inputs": echoed,
-            "result": None,
-            "diagnostics": {"error": condition, "message": str(exc)},
-        }
-        if getattr(args, "json", False):
-            print(_to_json(payload))
+        if args.json:
+            _emit(args, None, {"error": exc.condition, "message": str(exc)})
         else:
-            print(f"error: {condition}: {exc}")
+            print(f"error: {exc.condition}: {exc}")
         return 2
     except ValueError as exc:
-        return _usage_error(str(exc))
+        print(f"error: usage: {exc}", file=sys.stderr)
+        return 1
+    if output is not None:
+        _emit(args, *output)
+    return 0
 
 
 def main() -> None:

@@ -1,11 +1,11 @@
 """Exhaustive enumeration of irreducible totally positive polynomials.
 
 Search space: monic integer polynomials of degree n whose roots are all
-real, distinct and positive, with trace below a bound (default 2n).  The
-tree is walked over the elementary symmetric values e_1..e_n, all of which
-are positive integers for such a polynomial, so
+real, distinct and positive, with trace below 2n.  The tree is walked
+over the elementary symmetric values e_1..e_n, all of which are positive
+integers for such a polynomial, so
 
-  * e_1 ranges over [n, bound): AM-GM gives e_1 >= n * e_n^(1/n) >= n;
+  * e_1 ranges over [n, 2n): AM-GM gives e_1 >= n * e_n^(1/n) >= n;
   * e_k is capped by the Maclaurin comparison with e_1, which keeps every
     branch finite and is always applied;
   * optional interior prunes (adjacent Maclaurin, Newton's inequalities,
@@ -28,12 +28,12 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .factor import is_irreducible
-from .intpoly import IntPolynomial, _derive
+from .intpoly import IntPolynomial, _derive, _horner
 from .realroots import root_census
 from .verify import PolyReport, verify_theorem2
 
@@ -91,7 +91,6 @@ def default_trace_bound(n: int) -> int:
 
 def enumerate_corpus(
     max_degree: int,
-    trace_bound_fn: Callable[[int], int] | None = None,
     *,
     prune_maclaurin: bool = True,
     prune_newton: bool = True,
@@ -108,11 +107,10 @@ def enumerate_corpus(
     """
     if not isinstance(max_degree, int) or not 1 <= max_degree <= 9:
         raise ValueError("max_degree must be an integer in 1..9")
-    bound_fn = trace_bound_fn or default_trace_bound
     prunes = (prune_maclaurin, prune_newton, prune_sturm)
     stats = CorpusStats() if stats is None else stats
     degrees = range(min(2, max_degree), max_degree + 1)
-    tops = [(n, [e1]) for n in degrees for e1 in range(n, bound_fn(n))]
+    tops = [(n, [e1]) for n in degrees for e1 in range(n, default_trace_bound(n))]
     if workers > 1:
         # split on (n, e1, e2): a few heavy e1 subtrees would leave workers idle
         tasks = []
@@ -289,15 +287,8 @@ def _real_rows(zs: np.ndarray) -> list[list[float] | None]:
     return [row if good else None for row, good in zip(np.sort(zs, axis=1).tolist(), ok.tolist())]
 
 
-def _dyadic(scaled: list[int], num: int) -> int:
-    """p(num / 2^_GRID) * 2^(_GRID * deg p), exactly, from ``_scale(p)``."""
-    acc = 0
-    for c in scaled:
-        acc = acc * num + c
-    return acc
-
-
 def _scale(coeffs: list[int]) -> list[int]:
+    """Coefficients whose value at num is p(num / 2^_GRID) * 2^(_GRID * deg p)."""
     return [c << (_GRID * i) for i, c in enumerate(coeffs)]
 
 
@@ -337,7 +328,7 @@ def _child_bounds(
     g_s = _scale(gd)
     h_s = _scale([c // (m - i) for i, c in enumerate(gd)] + [0])  # H
     reach = max(abs(mids[0] - halves[0]), abs(mids[-1] + halves[-1]))
-    bound = _dyadic(_scale([abs(c) for c in _derive(gd)]), reach)
+    bound = _horner(_scale([abs(c) for c in _derive(gd)]), reach)
     s = (-1) ** m
     # e * scale is compared with u = -s H(r) 2^(_GRID m)
     scale = math.factorial(n - m) << (_GRID * m)
@@ -348,11 +339,11 @@ def _child_bounds(
         if prev_b is not None and a <= prev_b:
             return None
         prev_b = b
-        sa, sb = _dyadic(g_s, a), _dyadic(g_s, b)
+        sa, sb = _horner(g_s, a), _horner(g_s, b)
         if sa == 0 or sb == 0 or (sa > 0) == (sb > 0):
             return None
         err = bound * half * half
-        u = -s * _dyadic(h_s, t)
+        u = -s * _horner(h_s, t)
         if (sb > 0) == (s > 0):  # the condition reads e <= u / scale
             sure_hi = min(sure_hi, (u - err) // scale)
             hi = min(hi, (u + err) // scale)

@@ -108,7 +108,9 @@ def solve_trace_norm_alpha(
     the gap 1 - p/s^n formed exactly from the float inputs and rounded once:
     there alpha^2 is proportional to the gap, and reading the gap off two
     nearly equal logarithms would cost most of its digits.  ``residual`` is
-    still that of the product equation.
+    still that of the product equation.  For p/s^n so small that the root
+    lies between an end of the interval and the bracket's margin inside it,
+    the bracket end is returned flagged ``at_boundary``.
     """
     _check_nk(n, k)
     if not (s > 0.0 and p > 0.0):
@@ -133,11 +135,14 @@ def solve_trace_norm_alpha(
         return c * a / ((1.0 + a * m) * (1.0 - a))
 
     if branch is Branch.NEGATIVE:
-        lo = -k / (n - k) * (1.0 - _EDGE)
+        lo = edge = -k / (n - k) * (1.0 - _EDGE)
         hi = 0.0
     else:
         lo = 0.0
-        hi = 1.0 - _EDGE
+        hi = edge = 1.0 - _EDGE
+    f_edge = f(edge)
+    if f_edge > 0.0:  # no sign change inside the bracket: the root is beyond its end
+        return AlphaRoot(edge, branch, k, math.exp(log_target) * math.expm1(f_edge), 0, True)
     alpha, res, iters = _bisect_newton(f, fp, lo, hi, tol)
     # the product side minus p/s^n, i.e. (p/s^n) * (exp(log residual) - 1)
     return AlphaRoot(alpha, branch, k, math.exp(log_target) * math.expm1(res), iters)

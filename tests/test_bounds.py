@@ -43,6 +43,17 @@ def test_energy_min_trace_norm_witness():
     assert report.value <= energy((1.0, 2.0, 3.0)) + 1e-12
 
 
+
+def test_energy_min_trace_norm_tiny_product():
+    # p/s^n so small that the root lies closer to the end -1/(n-1) than the
+    # bracket margin: the bracket end is returned, flagged at_boundary.  The
+    # minimum tends to (ns)^2/(n-1) as p -> 0 and is within 1e-13 of it here.
+    for n, p, limit in ((2, 1e-20, 16.0), (6, 1e-12, 28.8)):
+        report = energy_min_trace_norm(TraceNormConstraints(n, 2.0, p))
+        assert report.value == pytest.approx(limit, rel=1e-12)
+        assert report.alpha.at_boundary
+        assert report.alpha.iterations == 0
+
 def test_energy_min_power_witness():
     # n=3, S1=3, S3=9: alpha solves t^3 + 3t^2 = 1 after expansion
     report = energy_min_power(PowerSumConstraints(3, 3, 3.0, 9.0))

@@ -32,6 +32,15 @@ def test_bound_emin_tn_json(capsys):
     assert payload["diagnostics"]["tol"] == pytest.approx(1e-10)
 
 
+
+def test_bound_emin_tn_tiny_product(capsys):
+    for n, p, limit in (("2", "1e-20", 16.0), ("6", "1e-12", 28.8)):
+        payload = _json_out(
+            capsys, ["bound", "emin-tn", "--n", n, "--s", "2", "--p", p, "--json"]
+        )
+        assert payload["result"]["value"] == pytest.approx(limit, rel=1e-12)
+        assert payload["result"]["alpha"]["at_boundary"] is True
+
 def test_bound_emax_power_json(capsys):
     payload = _json_out(
         capsys,
@@ -110,6 +119,10 @@ def test_r2_infeasible_moments(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["result"] is None
     assert payload["diagnostics"]["error"] == "S2 <= S1^2"
+    # the oracle checks the same moments and reports them the same way
+    code = run(["oracle", "power", "--n", "3", "--r", "2", "--s1", "3", "--sr", "10", "--json"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == payload["diagnostics"]
 
 
 # --- exit codes -----------------------------------------------------------------
@@ -209,6 +222,19 @@ def test_threads_from_env(capsys, monkeypatch):
     monkeypatch.setenv("ENERGY_BOUNDS_THREADS", "soon")
     assert run(argv) == 2
 
+
+
+def test_error_payload_echoes_success_inputs(capsys, monkeypatch):
+    def input_keys(argv, expect_code):
+        return list(_json_out(capsys, argv + ["--json"], expect_code)["inputs"])
+
+    power = ["oracle", "power", "--n", "3", "--r", "3", "--restarts", "2", "--sr", "9", "--s1"]
+    assert input_keys(power + ["3"], 0) == input_keys(power + ["2"], 2)
+    corpus = ["corpus", "enumerate", "--max-degree", "2"]
+    monkeypatch.setenv("ENERGY_BOUNDS_THREADS", "1")
+    feasible = input_keys(corpus, 0)
+    monkeypatch.setenv("ENERGY_BOUNDS_THREADS", "soon")
+    assert input_keys(corpus, 2) == feasible
 
 def _reject_constant(token):
     raise ValueError(f"non-JSON token {token}")

@@ -460,13 +460,6 @@ def test_corpus_falls_back_on_wrong_proposals(monkeypatch, wrong):
     assert stats.certified_pass == 0 if wrong == "shifted" else stats.certified_pass > 0
 
 
-def test_corpus_custom_trace_bound():
-    # trace < 3 leaves only (x-1)^2 in range, which is rejected
-    assert enumerate_corpus(2, lambda n: 3) == []
-    wide = enumerate_corpus(2, lambda n: n + 2)
-    assert [r.poly.coeffs for r in wide] == [(1, -3, 1)]
-
-
 def test_corpus_validation():
     with pytest.raises(ValueError, match="1..9"):
         enumerate_corpus(0)
