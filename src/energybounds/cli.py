@@ -10,7 +10,8 @@ Grammar (long flags only, no positionals)::
     energy-bounds constants siegel
 
 Exit codes: 0 success, 1 usage error, 2 infeasible or hypothesis-violated
-input (a report naming the violated condition is still printed).
+input, 3 an oracle search that could not project onto the constraint
+manifold (for 2 and 3 a report naming the condition is still printed).
 
 ``--json`` prints one object {op, inputs, result, diagnostics} with floats
 at 17 significant digits, so identical invocations are byte-identical.
@@ -26,6 +27,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from enum import Enum
 from fractions import Fraction
@@ -43,7 +45,7 @@ from .bounds import (
     siegel_constants,
 )
 from .core import REL_TOL, FeasibilityError, PowerSumConstraints, TraceNormConstraints
-from .oracle import extrema_search, extrema_trace_norm, extrema_two_value
+from .oracle import SearchFailedError, extrema_search, extrema_trace_norm, extrema_two_value
 from .polylab import (
     CorpusStats,
     corpus_to_csv,
@@ -60,7 +62,12 @@ _INFEASIBLE = (FeasibilityError, HypothesisViolationError, BranchMissingError)
 
 class _Parser(argparse.ArgumentParser):
     """argparse, but a usage problem raises ValueError, which :func:`run`
-    reports with exit 1 (2 is reserved for bad data)."""
+    reports with exit 1 (2 is reserved for bad data), and a negative
+    rational such as -1/3 is a value, not a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -477,12 +484,12 @@ def run(argv: list[str]) -> int:
         output = _HANDLERS[args.command](args)
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 1
-    except _INFEASIBLE as exc:
+    except (*_INFEASIBLE, SearchFailedError) as exc:
         if args.json:
             _emit(args, None, {"error": exc.condition, "message": str(exc)})
         else:
             print(f"error: {exc.condition}: {exc}")
-        return 2
+        return 3 if isinstance(exc, SearchFailedError) else 2
     except ValueError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 1

@@ -37,6 +37,10 @@ log = logging.getLogger(__name__)
 _PROJ_TOL = 1e-11
 #: Most shift/rescale rounds per projection.
 _PROJ_ROUNDS = 25
+#: Most Newton passes per rescale root; convergence takes a few.
+_NEWTON_PASSES = 40
+#: Four units of rounding: the stopping scale of the rescale roots.
+_EPS4 = 4.0 * np.finfo(float).eps
 
 
 class ConfigKind(Enum):
@@ -64,6 +68,11 @@ class TwoValueExtrema(NamedTuple):
     candidates: tuple[CriticalConfig, ...]
     min: float
     max: float
+
+
+class SearchFailedError(ArithmeticError):
+    """Every search row of one direction failed to project onto the manifold."""
+    condition = "search_failed"
 
 
 class SearchExtrema(NamedTuple):
@@ -146,10 +155,11 @@ def extrema_search(
     fraction of their previous value, so interior optima with tiny entries
     are approached geometrically instead of being clipped to zero.  Each
     step follows the energy gradient with backtracking, then re-projects:
-    a uniform shift of the support restores S_1, a 1-D rescale toward the
-    mean restores S_r, alternating to joint relative tolerance 1e-11.
-    Failed rows are reseeded, then excluded from the extremes and reported.
-    Raises ValueError unless restarts >= 1 and max_iters >= 0.
+    a shift of the support restores S_1, a rescale toward the mean (Newton
+    from the row's own point) restores S_r, alternating to joint relative
+    tolerance 1e-11.  Failed rows are reseeded, then excluded and reported;
+    SearchFailedError if a direction has none left, ValueError unless
+    restarts >= 1 and max_iters >= 0.
     """
     n, r, s1, sr = ps.n, ps.r, ps.s1, ps.sr
     strata = n - ps.ntilde_ceil + 1
@@ -194,8 +204,9 @@ def extrema_trace_norm(
 
     Critical configurations are two-valued (k copies of one value), giving
     E = (n/k - 1)(ns)^2 alpha^2 for each k and branch; the search of
-    :func:`extrema_search`, with the product restored by 1-D rescale,
-    corroborates them.  Returns the combined extremes plus both ingredients.
+    :func:`extrema_search` corroborates them; its rescale restoring the
+    product is solved in the log of the smallest coordinate, floored at
+    1e-13 s.  Returns the combined extremes plus both ingredients.
     """
     n, s = tn.n, tn.s
     cands: list[CriticalConfig] = []
@@ -222,23 +233,19 @@ def extrema_trace_norm(
     def on_manifold(X: np.ndarray, free: np.ndarray) -> np.ndarray:
         return np.abs(np.log(X).sum(axis=1) - logp) <= _PROJ_TOL * max(1.0, abs(logp))
 
+    floor = 1e-13 * s1 / n
     smin, smax, failed = _descend(
         n, s1, restarts, max_iters, start,
         reseeds=0,
-        scale_root=lambda mean, D, live: _scale_root_prod(mean, D, logp),
+        scale_root=lambda mean, D, live: _scale_root_prod(mean, D, live, logp, floor),
         on_manifold=on_manifold,
         weight=lambda X: 1.0 / X,
         trial_floor=lambda X: 1e-13 * s,
-        proj_floor=1e-13 * s1 / n,
+        proj_floor=floor,
         eta0=0.1 * s,
     )
     return TraceNormExtrema(
-        min(min(values), smin),
-        max(max(values), smax),
-        tuple(cands),
-        smin,
-        smax,
-        failed,
+        min(min(values), smin), max(max(values), smax), tuple(cands), smin, smax, failed
     )
 
 
@@ -316,7 +323,7 @@ def _descend(
     mins = best[:restarts][ok[:restarts]]
     maxs = -best[restarts:][ok[restarts:]]
     if mins.size == 0 or maxs.size == 0:
-        raise ArithmeticError("all search restarts failed to project onto the manifold")
+        raise SearchFailedError("all search restarts failed to project onto the manifold")
     return float(mins.min()), float(maxs.max()), tuple(np.flatnonzero(failed).tolist())
 
 
@@ -361,7 +368,7 @@ def _project(
     """Restore S_1 and a second constraint, alternating, clamped at ``floor``.
 
     A uniform shift of the live support restores S_1; a 1-D rescale toward
-    the mean, by the t that ``scale_root`` solves for (NaN: no root),
+    the mean, whose rows ``scale_root`` returns (NaN rows: no root),
     restores the second.  Absent clamping one round is exact: the rescale
     direction sums to zero, so it preserves S_1.  Extra rounds only repair
     clamp-induced drift.  Returns the projected array and a per-row success
@@ -369,7 +376,7 @@ def _project(
     """
     ok = np.zeros(X.shape[0], dtype=bool)
     # work on a private copy of the support: a coordinate the rescale pins
-    # at zero stays there, so the shift/scale alternation on the remaining
+    # at the floor stays there, so the shift/scale alternation on the remaining
     # coordinates can land on the manifold exactly instead of oscillating
     live = free.copy()
     for _ in range(_PROJ_ROUNDS):
@@ -377,12 +384,10 @@ def _project(
         cur = np.where(live, X, 0.0).sum(axis=1)
         X = np.maximum(np.where(live, X + ((s1 - cur) / cnt)[:, None], X), floor)
         mean = (s1 / cnt)[:, None]
-        D = np.where(live, X - mean, 0.0)
-        t = scale_root(mean, D, live)
-        good = np.isfinite(t)
-        scaled = np.maximum(mean + t[:, None] * D, floor)
-        X = np.where(live & good[:, None], scaled, X)
-        live &= ~(good[:, None] & (X <= 0.0))
+        scaled = scale_root(mean, np.where(live, X - mean, 0.0), live)
+        good = np.isfinite(scaled).all(axis=1)
+        X = np.where(live & good[:, None], np.maximum(scaled, floor), X)
+        live &= ~(good[:, None] & (X <= floor))
         s1_err = np.abs(np.where(free, X, 0.0).sum(axis=1) - s1)
         ok = (s1_err <= _PROJ_TOL * s1) & on_manifold(X, free)
         if ok.all():
@@ -390,85 +395,95 @@ def _project(
     return X, ok
 
 
+def _newton(
+    terms: Callable, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, done: np.ndarray
+) -> np.ndarray:
+    """Bracketed Newton on rowwise nondecreasing residuals h, all rows at once.
+
+    ``terms(x)`` gives the rows that x stands for, h(x), h'(x) and the
+    rounding error of h(x).  [lo, hi] brackets each root and shrinks as h's
+    signs are seen; a step leaving it bisects.  A row stops once |h| is
+    within rounding error or its step below float resolution; rows
+    ``done`` on entry never move.  Returns the last rows."""
+    for _ in range(_NEWTON_PASSES):
+        rows, h, slope, noise = terms(x)
+        lo = np.where(h < 0.0, x, lo)
+        hi = np.where(h > 0.0, x, hi)
+        step = x - h / np.where(slope > 0.0, slope, np.nan)
+        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+        done |= (np.abs(h) <= noise) | (np.abs(step - x) <= _EPS4 * np.abs(x))
+        if done.all():
+            break
+        x = np.where(done, x, step)
+    return rows
+
+
 def _scale_root_power(
     mean: np.ndarray, D: np.ndarray, free: np.ndarray, sr: float, r: int
 ) -> np.ndarray:
-    """Solve sum_free max(mean + t D, 0)^r = sr for t >= 0, rowwise.
+    """Rows max(mean + t D, 0), t >= 0, with sum_free of their r-th powers sr.
 
-    At t = 0 the sum is S_1^r / cnt^(r-1) <= sr whenever the free count is
-    at least the effective count; it grows without bound, so a bracketed
-    root always exists then.  Rows with no root get NaN.
+    h(t) = sum_free max(mean + t D, 0)^r - sr is convex, nondecreasing and
+    unbounded on t >= 0; h(0) <= 0 when the free count is at least the
+    effective count, and rows with h(0) > 0 have no root: NaN.  Newton
+    starts at t = 1, the caller's own point: from h >= 0 it descends
+    monotonically onto the root; from h < 0 its first step lands past it
+    (h is convex), or bisects past the single-coordinate bound hi.
     """
-
     # zero the pinned coordinates up front: 0 + t*0 = 0 and 0^r = 0, so
     # they drop out of every evaluation without a mask in the loop
     base = np.where(free, mean, 0.0)
     dm = np.where(free, D, 0.0)
-
-    def h(t: np.ndarray) -> np.ndarray:
-        v = np.maximum(base + t[:, None] * dm, 0.0)
-        return (v**r).sum(axis=1) - sr
-
-    rows = D.shape[0]
-    lo = np.zeros(rows)
-    unsolvable = h(lo) > _PROJ_TOL * sr
+    unsolvable = (base**r).sum(axis=1) - sr > _PROJ_TOL * sr
     # one growing coordinate alone reaching sr bounds the root:
     # (mean + hi*Dmax)^r = sr, the other terms being nonnegative
     dmax = dm.max(axis=1)
-    hi = np.where(
-        dmax > 0.0,
-        np.maximum((sr ** (1.0 / r) - mean[:, 0]) / np.maximum(dmax, 1e-300), 0.0),
-        0.0,
-    )
-    for _ in range(10):
-        mid = 0.5 * (lo + hi)
-        high = h(mid) > 0.0
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    t = 0.5 * (lo + hi)
-    for _ in range(8):
+    hi = np.maximum((sr ** (1.0 / r) - mean[:, 0]) / np.maximum(dmax, 1e-300), 0.0)
+    hi = np.where(dmax > 0.0, hi, 0.0)
+
+    def terms(t: np.ndarray) -> tuple[np.ndarray, ...]:
         v = np.maximum(base + t[:, None] * dm, 0.0)
         vr1 = v ** (r - 1)
-        ht = (vr1 * v).sum(axis=1) - sr
-        hp = r * (dm * vr1).sum(axis=1)
-        lo = np.where(ht < 0.0, np.maximum(lo, t), lo)
-        hi = np.where(ht > 0.0, np.minimum(hi, t), hi)
-        tn = np.where(hp > 0.0, t - ht / np.where(hp > 0.0, hp, 1.0), t)
-        # the root can sit exactly at a clip kink: clamp rather than reject,
-        # so the polish is never abandoned at bisection resolution
-        t = np.clip(tn, lo, hi)
-    return np.where(unsolvable, np.nan, t)
+        total = (vr1 * v).sum(axis=1)
+        return v, total - sr, r * (dm * vr1).sum(axis=1), _EPS4 * (total + sr)
+
+    rows = _newton(terms, np.minimum(hi, 1.0), np.zeros_like(hi), hi, unsolvable.copy())
+    return np.where(unsolvable[:, None], np.nan, rows)
 
 
-def _scale_root_prod(mean: np.ndarray, D: np.ndarray, logp: float) -> np.ndarray:
-    """Solve sum log(mean + t D) = log p for the root with t >= 0, rowwise.
+def _scale_root_prod(
+    mean: np.ndarray, D: np.ndarray, live: np.ndarray, logp: float, floor: float
+) -> np.ndarray:
+    """Rows mean + t D, t >= 0, whose logs sum to logp, pinned ones at ``floor``.
 
-    h(t) = sum log(mean + t D) - log p is concave with h(0) >= 0 (AM-GM) and
-    h -> -inf as the smallest coordinate approaches 0, so the nonnegative
-    root is unique and lies before the first zero crossing.
+    h(t) = sum log(mean + t D) - logp is concave, h(0) >= 0 (AM-GM),
+    and h falls to -inf as the most-shrinking coordinate x_j reaches 0: the
+    root is unique.  It is solved in y = log x_j, rising in y up to h(0) at
+    y = log mean; rows are x_j = exp(y) and (mean (D - D_j) - exp(y) D) /
+    (-D_j), since mean + t D gives a tiny coordinate an absolute error of
+    ulp(mean).  Uniform rows stay at the mean; rows with h(0) < 0 are NaN.
     """
+    cnt = live.sum(axis=1)
+    logp = logp - (live.shape[1] - cnt) * math.log(floor)  # what the live ones need
+    m = mean[:, 0]
+    a = -D.min(axis=1)  # the shrink rate of x_j; 0 for uniform rows
+    uniform = ~(a > 0.0)
+    a = np.where(uniform, 1.0, a)
+    spread = mean * (D + a[:, None])  # mean (D - D_j): exactly 0 at j
+    yhi = np.log(m)
+    unsolvable = cnt * yhi - logp < -_PROJ_TOL * np.maximum(1.0, np.abs(logp))
+    # live coordinates are below cnt * mean: h < y + (cnt-1) log(cnt mean) - logp
+    ylo = np.minimum(logp - (cnt - 1) * np.log(cnt * m), yhi)
 
-    def h(t: np.ndarray) -> np.ndarray:
-        return np.log(mean + t[:, None] * D).sum(axis=1) - logp
+    def terms(y: np.ndarray) -> tuple[np.ndarray, ...]:
+        u = np.exp(y)[:, None]
+        x = np.where(live, (spread - u * D) / a[:, None], 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lx = np.log(x)
+            slope = -(u[:, 0] / a) * (D / x).sum(axis=1)
+        h = lx.sum(axis=1) - logp
+        return x, h, slope, _EPS4 * (np.abs(lx).sum(axis=1) + np.abs(logp))
 
-    rows = D.shape[0]
-    with np.errstate(divide="ignore"):
-        tcap = np.where(D < 0.0, mean / np.maximum(-D, 1e-300), np.inf).min(axis=1)
-    lo = np.zeros(rows)
-    unsolvable = h(lo) < -_PROJ_TOL * max(1.0, abs(logp))
-    hi = np.where(np.isfinite(tcap), tcap * (1.0 - 1e-12), 0.0)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        low = h(mid) > 0.0
-        lo = np.where(low, mid, lo)
-        hi = np.where(low, hi, mid)
-    t = 0.5 * (lo + hi)
-    for _ in range(8):
-        v = mean + t[:, None] * D
-        ht = np.log(v).sum(axis=1) - logp
-        lo = np.where(ht > 0.0, np.maximum(lo, t), lo)
-        hi = np.where(ht < 0.0, np.minimum(hi, t), hi)
-        hp = (D / v).sum(axis=1)
-        tn = np.where(hp != 0.0, t - ht / np.where(hp != 0.0, hp, 1.0), t)
-        t = np.clip(tn, lo, hi)
-    return np.where(unsolvable, np.nan, t)
+    y0 = np.clip(np.log(np.maximum(m - a, 1e-300)), ylo, yhi)
+    rows = _newton(terms, y0, ylo, yhi, unsolvable | uniform)
+    return np.where(unsolvable[:, None], np.nan, np.where(uniform[:, None], mean, rows))

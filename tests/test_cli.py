@@ -155,6 +155,30 @@ def test_usage_errors_exit_1(capsys):
     assert "usage" in err
 
 
+def test_search_failure_exits_3(capsys):
+    # p = 1e-300 lies below the search's floors: no row can be projected
+    argv = ["oracle", "trace-norm", "--n", "2", "--s", "2", "--p", "1e-300"]
+    assert run(argv + ["--json"]) == 3
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out, parse_constant=_reject_constant)
+    assert payload["result"] is None
+    assert payload["diagnostics"]["error"] == "search_failed"
+    assert payload["inputs"]["p"] == 1e-300
+    assert "Traceback" not in captured.err
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("error: search_failed: ")
+    assert "Traceback" not in captured.err
+
+
+def test_negative_rational_is_a_value(capsys):
+    base = ["poly", "hermite", "--n", "4", "--lam", "3/4", "--json"]
+    spaced = _json_out(capsys, base + ["--mu", "-1/3"])
+    joined = _json_out(capsys, base + ["--mu=-1/3"])
+    assert spaced == joined
+    assert spaced["result"]["mu"] == "-1/3"
+
+
 def test_bad_hermite_rational_exits_1(capsys):
     assert run(["poly", "hermite", "--n", "3", "--lam", "abc", "--mu", "0"]) == 1
     assert "bad rational" in capsys.readouterr().err
