@@ -32,6 +32,7 @@ from .core import (
     FeasibilityError,
     NTilde,
     PowerSumConstraints,
+    SearchFailedError,
     TraceNormConstraints,
     a_factor_log,
     energy,
@@ -79,6 +80,7 @@ __all__ = [
     "NTilde",
     "PotentialSpec",
     "PowerSumConstraints",
+    "SearchFailedError",
     "SearchExtrema",
     "SiegelConstants",
     "TraceNormConstraints",

@@ -44,8 +44,14 @@ from .bounds import (
     reverse_amgm,
     siegel_constants,
 )
-from .core import REL_TOL, FeasibilityError, PowerSumConstraints, TraceNormConstraints
-from .oracle import SearchFailedError, extrema_search, extrema_trace_norm, extrema_two_value
+from .core import (
+    REL_TOL,
+    FeasibilityError,
+    PowerSumConstraints,
+    SearchFailedError,
+    TraceNormConstraints,
+)
+from .oracle import extrema_search, extrema_trace_norm, extrema_two_value
 from .polylab import (
     CorpusStats,
     corpus_to_csv,

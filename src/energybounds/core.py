@@ -32,6 +32,13 @@ class FeasibilityError(ValueError):
         super().__init__(message)
 
 
+class SearchFailedError(ArithmeticError):
+    """Raised when every search row of one direction fails to project onto
+    the constraint manifold (``condition`` is ``"search_failed"``)."""
+
+    condition = "search_failed"
+
+
 @dataclass(frozen=True)
 class Configuration:
     """An ordered tuple of n >= 2 nonnegative reals."""

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import REL_TOL, PowerSumConstraints, TraceNormConstraints
+from .core import REL_TOL, PowerSumConstraints, SearchFailedError, TraceNormConstraints
 from .rootfind import (
     Branch,
     branch_exists,
@@ -68,11 +68,6 @@ class TwoValueExtrema(NamedTuple):
     candidates: tuple[CriticalConfig, ...]
     min: float
     max: float
-
-
-class SearchFailedError(ArithmeticError):
-    """Every search row of one direction failed to project onto the manifold."""
-    condition = "search_failed"
 
 
 class SearchExtrema(NamedTuple):
@@ -396,26 +391,30 @@ def _project(
 
 
 def _newton(
-    terms: Callable, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, done: np.ndarray
+    rows_at: Callable, terms: Callable, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+    done: np.ndarray,
 ) -> np.ndarray:
     """Bracketed Newton on rowwise nondecreasing residuals h, all rows at once.
 
-    ``terms(x)`` gives the rows that x stands for, h(x), h'(x) and the
-    rounding error of h(x).  [lo, hi] brackets each root and shrinks as h's
-    signs are seen; a step leaving it bisects.  A row stops once |h| is
-    within rounding error or its step below float resolution; rows
-    ``done`` on entry never move.  Returns the last rows."""
+    ``rows_at(x)`` gives the rows that x stands for, ``terms(x, rows)``
+    h(x), h'(x) and the rounding error of h(x).  [lo, hi] brackets each
+    root and shrinks as h's signs are seen; a step leaving it bisects.  A
+    row stops where |h| is within rounding error, or after a Newton step
+    below 1e-9 max(|x|, 1), whose error is near that step squared; rows
+    ``done`` on entry never move.  Returns the rows at the last points."""
     for _ in range(_NEWTON_PASSES):
-        rows, h, slope, noise = terms(x)
+        h, slope, noise = terms(x, rows_at(x))
         lo = np.where(h < 0.0, x, lo)
         hi = np.where(h > 0.0, x, hi)
         step = x - h / np.where(slope > 0.0, slope, np.nan)
-        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-        done |= (np.abs(h) <= noise) | (np.abs(step - x) <= _EPS4 * np.abs(x))
+        newton = (step > lo) & (step < hi)
+        done |= np.abs(h) <= noise
+        step = np.where(done, x, np.where(newton, step, 0.5 * (lo + hi)))
+        done |= newton & (np.abs(step - x) <= 1e-9 * np.maximum(np.abs(x), 1.0))
+        x = step
         if done.all():
             break
-        x = np.where(done, x, step)
-    return rows
+    return rows_at(x)
 
 
 def _scale_root_power(
@@ -441,13 +440,15 @@ def _scale_root_power(
     hi = np.maximum((sr ** (1.0 / r) - mean[:, 0]) / np.maximum(dmax, 1e-300), 0.0)
     hi = np.where(dmax > 0.0, hi, 0.0)
 
-    def terms(t: np.ndarray) -> tuple[np.ndarray, ...]:
-        v = np.maximum(base + t[:, None] * dm, 0.0)
+    def terms(t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
         vr1 = v ** (r - 1)
         total = (vr1 * v).sum(axis=1)
-        return v, total - sr, r * (dm * vr1).sum(axis=1), _EPS4 * (total + sr)
+        return total - sr, r * (dm * vr1).sum(axis=1), _EPS4 * (total + sr)
 
-    rows = _newton(terms, np.minimum(hi, 1.0), np.zeros_like(hi), hi, unsolvable.copy())
+    rows = _newton(
+        lambda t: np.maximum(base + t[:, None] * dm, 0.0), terms,
+        np.minimum(hi, 1.0), np.zeros_like(hi), hi, unsolvable.copy(),
+    )
     return np.where(unsolvable[:, None], np.nan, rows)
 
 
@@ -475,15 +476,14 @@ def _scale_root_prod(
     # live coordinates are below cnt * mean: h < y + (cnt-1) log(cnt mean) - logp
     ylo = np.minimum(logp - (cnt - 1) * np.log(cnt * m), yhi)
 
-    def terms(y: np.ndarray) -> tuple[np.ndarray, ...]:
-        u = np.exp(y)[:, None]
-        x = np.where(live, (spread - u * D) / a[:, None], 1.0)
+    def terms(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
         with np.errstate(divide="ignore", invalid="ignore"):
             lx = np.log(x)
-            slope = -(u[:, 0] / a) * (D / x).sum(axis=1)
-        h = lx.sum(axis=1) - logp
-        return x, h, slope, _EPS4 * (np.abs(lx).sum(axis=1) + np.abs(logp))
+            slope = -(np.exp(y) / a) * (D / x).sum(axis=1)
+        return lx.sum(axis=1) - logp, slope, _EPS4 * (np.abs(lx).sum(axis=1) + np.abs(logp))
 
-    y0 = np.clip(np.log(np.maximum(m - a, 1e-300)), ylo, yhi)
-    rows = _newton(terms, y0, ylo, yhi, unsolvable | uniform)
-    return np.where(unsolvable[:, None], np.nan, np.where(uniform[:, None], mean, rows))
+    rows = _newton(
+        lambda y: np.where(live, (spread - np.exp(y)[:, None] * D) / a[:, None], 1.0), terms,
+        np.clip(np.log(np.maximum(m - a, 1e-300)), ylo, yhi), ylo, yhi, unsolvable | uniform,
+    )
+    return np.where(unsolvable[:, None], np.nan, rows)  # uniform rows: spread / 1 = mean

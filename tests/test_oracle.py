@@ -251,14 +251,14 @@ def test_scale_root_newton_passes_are_few(monkeypatch):
     passes = []
     real = oracle._newton
 
-    def counting(terms, *args):
+    def counting(rows_at, terms, *args):
         calls = []
 
-        def counted(x):
+        def counted(*xs):
             calls.append(1)
-            return terms(x)
+            return terms(*xs)
 
-        out = real(counted, *args)
+        out = real(rows_at, counted, *args)
         passes.append(len(calls))
         return out
 
@@ -273,13 +273,13 @@ def test_scale_root_newton_passes_are_few(monkeypatch):
             oracle._scale_root_power(mean[:1], d, free, sr, r)
             logp = float(np.log(1.0 + t * d).sum())
             oracle._scale_root_prod(mean[:1], d, free, logp, 1e-13)
-    # quadratic convergence: three or four passes, one more to see it
-    assert max(passes) <= 7 and sum(passes) / len(passes) <= 5.0
+    # quadratic convergence: a 10 % error is below 1e-9 after three or four steps
+    assert max(passes) <= 6 and sum(passes) / len(passes) <= 4.5
     # and over whole searches, random starts included
     passes.clear()
     extrema_search(PowerSumConstraints(5, 4, 4.0, 30.0), restarts=6, seed=3, max_iters=110)
     extrema_trace_norm(TraceNormConstraints(5, 1.5, 1.0), restarts=6, seed=3, max_iters=150)
-    assert sum(passes) / len(passes) <= 4.0
+    assert sum(passes) / len(passes) <= 3.0
     assert max(passes) < oracle._NEWTON_PASSES
 
 
