@@ -164,7 +164,7 @@ def _power_rows(seed, rows, n, r):
     X = rng.random((rows, n)) + 0.05
     X = X / X.sum(axis=1, keepdims=True) * n
     mean = np.ones((rows, 1))
-    sr = float(n * (1.0 + 0.3 * (n ** (r - 1) - 1.0)))  # log-position ~0.3 of the range
+    sr = float(n + 0.3 * (n**r - n))  # 30 % of the way from all-equal (n) to one point (n^r)
     return mean, X - mean, sr
 
 
