@@ -7,13 +7,15 @@ Two mechanisms cross-check every closed-form bound:
   extrema of the energy must live;
 * randomized projected gradient search on the constraint manifold, which
   knows nothing about the two-value structure.  One driver, ``_descend``,
-  with one projector, ``_project``, serves both constraint families.
+  with one projector, ``_project``, and one rescale root, ``_scale_root``,
+  serves both constraint families.
 
 Both are deterministic given their inputs (and seed).
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections.abc import Callable
@@ -146,16 +148,20 @@ def extrema_search(
     :func:`extrema_trace_norm` shares.  Support sizes cycle
     deterministically through n, n-1, ..., ntilde_ceil so every admissible
     boundary stratum gets its own rows (when restarts >= k* + 1); a row
-    never leaves its stratum — shrinking coordinates are floored at a
-    fraction of their previous value, so interior optima with tiny entries
-    are approached geometrically instead of being clipped to zero.  Each
-    step follows the energy gradient with backtracking, then re-projects:
-    a shift of the support restores S_1, a rescale toward the mean (Newton
-    from the row's own point) restores S_r, alternating to joint relative
-    tolerance 1e-11.  Failed rows are reseeded, then excluded and reported;
+    never leaves its stratum — a step shrinks a coordinate by at most
+    1000x, so interior optima with tiny entries are approached
+    geometrically instead of being clipped to zero.  Each step follows the
+    energy gradient with backtracking, then re-projects: a shift of the
+    support restores S_1, a rescale toward the mean restores S_r, to
+    joint relative tolerance 1e-11.  When the constraints force every
+    entry to S_1 / n the manifold is that one point: (0, 0, ()) at once.
+    Failed rows are reseeded, then excluded and reported;
     SearchFailedError if a direction has none left, ValueError unless
     restarts >= 1 and max_iters >= 0.
     """
+    _check_budget(restarts, max_iters)
+    if ps.all_equal:
+        return SearchExtrema(0.0, 0.0, ())
     n, r, s1, sr = ps.n, ps.r, ps.s1, ps.sr
     strata = n - ps.ntilde_ceil + 1
 
@@ -170,21 +176,17 @@ def extrema_search(
         x[support] = vals / vals.sum() * s1
         return x, np.isin(np.arange(n), support)
 
-    def on_manifold(X: np.ndarray, free: np.ndarray) -> np.ndarray:
-        return np.abs(np.where(free, X**r, 0.0).sum(axis=1) - sr) <= _PROJ_TOL * sr
-
+    phi, top = functools.partial(_power, r=r), sr ** (1.0 / r)
     return SearchExtrema(
         *_descend(
             n, s1, restarts, max_iters, start,
             reseeds=9,
-            scale_root=lambda mean, D, live: _scale_root_power(mean, D, live, sr, r),
-            on_manifold=on_manifold,
+            project=lambda X, free: _project(X, free, s1, sr, phi, top, 0.0),
+            to_x=np.asarray,  # the identity on arrays
+            # a coordinate shrinks by at most 1000x per step, so rows stay
+            # strictly inside their stratum
+            move=lambda X, _, V: np.maximum(X - V, 1e-3 * X),
             weight=lambda X: r * X ** (r - 1),
-            # multiplicative floor: a coordinate shrinks by at most 1000x per
-            # accepted step, so rows stay strictly inside their stratum
-            trial_floor=lambda X: 1e-3 * X,
-            proj_floor=0.0,
-            eta0=0.1 * s1 / n,
         )
     )
 
@@ -199,23 +201,27 @@ def extrema_trace_norm(
 
     Critical configurations are two-valued (k copies of one value), giving
     E = (n/k - 1)(ns)^2 alpha^2 for each k and branch; the search of
-    :func:`extrema_search` corroborates them; its rescale restoring the
-    product is solved in the log of the smallest coordinate, floored at
-    1e-13 s.  Returns the combined extremes plus both ingredients.
+    :func:`extrema_search` corroborates them.  The search runs in
+    u = log x: there the product constraint, sum u = log p, is linear, and
+    sum exp(u) = ns takes the place of S_r, so the same projector restores
+    both, with nothing floored.  At p = s^n (within relative 1e-9) the
+    manifold is one point and the search extremes are 0.  Returns the
+    combined extremes plus both ingredients.
     """
+    _check_budget(restarts, max_iters)
     n, s = tn.n, tn.s
-    cands: list[CriticalConfig] = []
     if tn.all_equal:
-        cands.append(CriticalConfig(n, s, 0.0, 0, 0.0, ConfigKind.INTERIOR))
-    else:
-        for k in range(1, n):
-            for branch in (Branch.NEGATIVE, Branch.POSITIVE):
-                root = solve_trace_norm_alpha(n, k, s, tn.p, branch)
-                mk = n / k - 1.0
-                x = s * (1.0 + root.alpha * mk)
-                y = s * (1.0 - root.alpha)
-                e = mk * root.alpha**2 * (n * s) ** 2
-                cands.append(CriticalConfig(k, x, y, 0, e, ConfigKind.INTERIOR))
+        only = CriticalConfig(n, s, 0.0, 0, 0.0, ConfigKind.INTERIOR)
+        return TraceNormExtrema(0.0, 0.0, (only,), 0.0, 0.0, ())
+    cands: list[CriticalConfig] = []
+    for k in range(1, n):
+        for branch in (Branch.NEGATIVE, Branch.POSITIVE):
+            root = solve_trace_norm_alpha(n, k, s, tn.p, branch)
+            mk = n / k - 1.0
+            x = s * (1.0 + root.alpha * mk)
+            y = s * (1.0 - root.alpha)
+            e = mk * root.alpha**2 * (n * s) ** 2
+            cands.append(CriticalConfig(k, x, y, 0, e, ConfigKind.INTERIOR))
     values = [c.E for c in cands]
     s1 = n * s
     logp = tn.log_target + n * math.log(s)
@@ -223,25 +229,51 @@ def extrema_trace_norm(
     def start(row: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, row])))
         vals = rng.random(n) + 0.05
-        return vals / vals.sum() * s1, np.ones(n, dtype=bool)
+        return np.log(vals / vals.sum() * s1), np.ones(n, dtype=bool)
 
-    def on_manifold(X: np.ndarray, free: np.ndarray) -> np.ndarray:
-        return np.abs(np.log(X).sum(axis=1) - logp) <= _PROJ_TOL * max(1.0, abs(logp))
-
-    floor = 1e-13 * s1 / n
     smin, smax, failed = _descend(
         n, s1, restarts, max_iters, start,
         reseeds=0,
-        scale_root=lambda mean, D, live: _scale_root_prod(mean, D, live, logp, floor),
-        on_manifold=on_manifold,
-        weight=lambda X: 1.0 / X,
-        trial_floor=lambda X: 1e-13 * s,
-        proj_floor=floor,
-        eta0=0.1 * s,
+        project=lambda U, free: _project(U, free, logp, s1, _exp, math.log(s1), -math.inf),
+        to_x=np.exp,
+        move=_log_step,
+        # 1/x scaled by the row's smallest x, so its squares cannot overflow
+        weight=lambda U: np.exp(U.min(axis=1, keepdims=True) - U),
     )
     return TraceNormExtrema(
         min(min(values), smin), max(max(values), smax), tuple(cands), smin, smax, failed
     )
+
+
+def _check_budget(restarts: int, max_iters: int) -> None:
+    if not isinstance(restarts, int) or restarts < 1:
+        raise ValueError("restarts must be a positive integer")
+    if not isinstance(max_iters, int) or max_iters < 0:
+        raise ValueError("max_iters must be a nonnegative integer")
+
+
+def _power(v: np.ndarray, d: np.ndarray | None = None, *, r: int) -> tuple:
+    """phi = max(., 0)^r for :func:`_scale_root`, once r is bound."""
+    v = np.maximum(v, 0.0)
+    vr1 = v ** (r - 1)
+    return vr1 * v, None if d is None else r * (d * vr1).sum(axis=1)
+
+
+def _exp(v: np.ndarray, d: np.ndarray | None = None) -> tuple:
+    """phi = exp for :func:`_scale_root`."""
+    e = np.exp(v)
+    return e, None if d is None else (d * e).sum(axis=1)
+
+
+def _log_step(U: np.ndarray, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The x step X - V, floored at 1e-3 X as for power sums, taken in log x.
+
+    V's absolute error, near 1e-15 s, swamps V_j / x_j at a tiny smallest
+    x_j, so its step comes from the tangent condition sum du = 0 instead.
+    """
+    du = np.log1p(np.maximum(-V / X, -0.999))
+    du[np.arange(len(du)), U.argmin(axis=1)] -= du.sum(axis=1)
+    return U + du
 
 
 def _descend(
@@ -252,63 +284,61 @@ def _descend(
     start: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
     *,
     reseeds: int,
-    scale_root: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    on_manifold: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    project: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    to_x: Callable[[np.ndarray], np.ndarray],
+    move: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     weight: Callable[[np.ndarray], np.ndarray],
-    trial_floor: Callable[[np.ndarray], np.ndarray | float],
-    proj_floor: float,
-    eta0: float,
 ) -> tuple[float, float, tuple[int, ...]]:
     """Projected-gradient search over both constraint families.
 
-    Rows below ``restarts`` minimize E, the rest maximize it.
-    ``start(row, attempt)`` gives a row's values and support; rows whose
-    projection fails start again, up to ``reseeds`` times.  ``weight`` is
-    the second constraint's gradient, which the tangent step removes.
-    Returns (min E, max E, failed rows).
+    Rows hold a family's coordinates: x, or u = log x, which ``to_x`` maps
+    to x.  Rows below ``restarts`` minimize E, the rest maximize it.
+    ``start(row, attempt)`` gives a row and its support; rows that
+    ``project(rows, free)`` fails on start again, up to ``reseeds`` times.
+    Steps are taken in x, along the energy gradient less its components
+    along the ones vector and ``weight(rows)`` (a positive multiple of the
+    second constraint's x-gradient); ``move(rows, x, step)`` gives the
+    trial rows at x - step.  Returns (min E, max E, failed rows).
     """
-    if not isinstance(restarts, int) or restarts < 1:
-        raise ValueError("restarts must be a positive integer")
-    if not isinstance(max_iters, int) or max_iters < 0:
-        raise ValueError("max_iters must be a nonnegative integer")
     rows = 2 * restarts
-    X = np.zeros((rows, n))
+    S = np.zeros((rows, n))
     free = np.zeros((rows, n), dtype=bool)
     for row in range(rows):
-        X[row], free[row] = start(row, 0)
+        S[row], free[row] = start(row, 0)
     # direction +1 minimizes E, -1 maximizes
     direction = np.where(np.arange(rows) < restarts, 1.0, -1.0)
 
-    X, ok = _project(X, free, s1, proj_floor, scale_root, on_manifold)
+    S, ok = project(S, free)
     for attempt in range(1, reseeds + 1):
         if ok.all():
             break
         for row in np.flatnonzero(~ok):
-            X[row], free[row] = start(row, attempt)
-        X, ok = _project(X, free, s1, proj_floor, scale_root, on_manifold)
+            S[row], free[row] = start(row, attempt)
+        S, ok = project(S, free)
     failed = ~ok
-    best = np.where(ok, direction * _row_energy(X, n), np.inf)
+    best = np.where(ok, direction * _row_energy(to_x(S), n), np.inf)
 
+    eta0 = 0.1 * s1 / n
     eta = np.full(rows, eta0)
     active = ok.copy()
     for _ in range(max_iters):
         if not active.any():
             break
+        X = to_x(S)
         raw = 2.0 * (n * X - s1) * direction[:, None]
-        grad = _tangent_step(raw, free, weight(X))
+        grad = _tangent_step(raw, free, weight(S))
         norm = np.sqrt((grad**2).sum(axis=1))
         stalled = norm <= 1e-14 * s1
         active &= ~stalled
         step = np.where(norm > 0.0, eta / np.maximum(norm, 1e-300), 0.0)
-        trial = np.where(free, X - step[:, None] * grad, X)
-        np.maximum(trial, trial_floor(X), out=trial)
-        trial, proj_ok = _project(trial, free, s1, proj_floor, scale_root, on_manifold)
-        phi = direction * _row_energy(trial, n)
+        trial, proj_ok = project(move(S, X, step[:, None] * grad), free)
+        trial_x = to_x(trial)
+        phi = direction * _row_energy(trial_x, n)
         # the projection may pin a coordinate at zero; reject such trials so
         # the row keeps to its stratum (deeper strata have their own rows)
-        alive = np.where(free, trial, 1.0).min(axis=1) > 0.0
+        alive = np.where(free, trial_x, 1.0).min(axis=1) > 0.0
         accept = active & proj_ok & alive & (phi < best)
-        X = np.where(accept[:, None], trial, X)
+        S = np.where(accept[:, None], trial, S)
         best = np.where(accept, phi, best)
         eta = np.where(accept, np.minimum(eta * 1.3, 8 * eta0), eta * 0.5)
         eta = np.where(active, eta, 0.0)
@@ -353,137 +383,87 @@ def _tangent_step(grad: np.ndarray, mask: np.ndarray, w: np.ndarray) -> np.ndarr
 
 
 def _project(
-    X: np.ndarray,
+    Y: np.ndarray,
     free: np.ndarray,
-    s1: float,
+    total: float,
+    target: float,
+    phi: Callable[..., tuple],
+    top: float,
     floor: float,
-    scale_root: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    on_manifold: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Restore S_1 and a second constraint, alternating, clamped at ``floor``.
+    """Rows with sum_free Y = ``total`` and sum_free phi(Y) = ``target``.
 
-    A uniform shift of the live support restores S_1; a 1-D rescale toward
-    the mean, whose rows ``scale_root`` returns (NaN rows: no root),
-    restores the second.  Absent clamping one round is exact: the rescale
-    direction sums to zero, so it preserves S_1.  Extra rounds only repair
-    clamp-induced drift.  Returns the projected array and a per-row success
-    mask (S_1 within tolerance and ``on_manifold``).
+    A uniform shift of the live support restores the sum; a rescale toward
+    the mean (:func:`_scale_root`, with ``phi`` and ``top``) restores the
+    second constraint.  The rescale direction sums to zero, so it keeps the
+    sum, and one round is exact unless a coordinate was clamped at
+    ``floor``, where phi is 0.  A clamped coordinate is pinned there, and
+    the next rounds shift and rescale the others.  Returns the rows and a
+    per-row success mask: both constraints within relative 1e-11.
     """
-    ok = np.zeros(X.shape[0], dtype=bool)
-    # work on a private copy of the support: a coordinate the rescale pins
-    # at the floor stays there, so the shift/scale alternation on the remaining
-    # coordinates can land on the manifold exactly instead of oscillating
+    ok = np.zeros(Y.shape[0], dtype=bool)
     live = free.copy()
     for _ in range(_PROJ_ROUNDS):
         cnt = np.maximum(live.sum(axis=1), 1)
-        cur = np.where(live, X, 0.0).sum(axis=1)
-        X = np.maximum(np.where(live, X + ((s1 - cur) / cnt)[:, None], X), floor)
-        mean = (s1 / cnt)[:, None]
-        scaled = scale_root(mean, np.where(live, X - mean, 0.0), live)
+        cur = np.where(live, Y, 0.0).sum(axis=1)
+        Y = np.maximum(np.where(live, Y + ((total - cur) / cnt)[:, None], Y), floor)
+        mean = (total / cnt)[:, None]
+        scaled = _scale_root(mean, np.where(live, Y - mean, 0.0), live, target, phi, top)
         good = np.isfinite(scaled).all(axis=1)
-        X = np.where(live & good[:, None], np.maximum(scaled, floor), X)
-        live &= ~(good[:, None] & (X <= floor))
-        s1_err = np.abs(np.where(free, X, 0.0).sum(axis=1) - s1)
-        ok = (s1_err <= _PROJ_TOL * s1) & on_manifold(X, free)
+        Y = np.where(live & good[:, None], np.maximum(scaled, floor), Y)
+        live &= ~(good[:, None] & (Y <= floor))
+        # off the support Y is 0 and phi(0) = 0: full-row sums need no mask
+        sum_err = np.abs(Y.sum(axis=1) - total)
+        phi_err = np.abs(phi(Y)[0].sum(axis=1) - target)
+        ok = (sum_err <= _PROJ_TOL * np.abs(Y).sum(axis=1)) & (phi_err <= _PROJ_TOL * target)
         if ok.all():
             break
-    return X, ok
+    return Y, ok
 
 
-def _newton(
-    rows_at: Callable, terms: Callable, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-    done: np.ndarray,
+def _scale_root(
+    mean: np.ndarray,
+    D: np.ndarray,
+    live: np.ndarray,
+    target: float,
+    phi: Callable[..., tuple],
+    top: float,
 ) -> np.ndarray:
-    """Bracketed Newton on rowwise nondecreasing residuals h, all rows at once.
+    """Rows mean + t D, t >= 0, with sum_live phi of them equal to ``target``.
 
-    ``rows_at(x)`` gives the rows that x stands for, ``terms(x, rows)``
-    h(x), h'(x) and the rounding error of h(x).  [lo, hi] brackets each
-    root and shrinks as h's signs are seen; a step leaving it bisects.  A
-    row stops where |h| is within rounding error, or after a Newton step
-    below 1e-9 max(|x|, 1), whose error is near that step squared; rows
-    ``done`` on entry never move.  Returns the rows at the last points."""
+    ``phi(v, d)`` gives max(v, 0)^r or exp(v) elementwise and, given d,
+    the rowwise sums of d phi'(v); ``top`` is phi's inverse at ``target``.
+    h(t) = sum_live phi(mean + t D) - target is convex and nondecreasing on
+    t >= 0 (D sums to 0 and is ordered like phi'); rows with h(0) > 0 have
+    no root: NaN.  Bracketed Newton starts at t = 1, the caller's own
+    point, in [0, hi], where the most-growing coordinate alone reaches
+    ``top``; notes/decisions.md has why it converges and when it stops.
+    Rows with D = 0 never move.  The rows come back unclipped.
+    """
+    # coordinates off the live support are zeroed: 0 + t*0 = 0 and
+    # max(0, 0)^r = 0 drop them from every sum without a mask in the loop.
+    # exp(0) = 1 would not, but the exp family keeps every coordinate live.
+    base = np.where(live, mean, 0.0)
+    dm = np.where(live, D, 0.0)
+    unsolvable = phi(base)[0].sum(axis=1) - target > _PROJ_TOL * target
+    dmax = dm.max(axis=1)
+    hi = np.maximum((top - mean[:, 0]) / np.maximum(dmax, 1e-300), 0.0)
+    lo = np.zeros_like(hi)
+    done = unsolvable | (dmax <= 0.0)
+    t = np.minimum(hi, 1.0)
     for _ in range(_NEWTON_PASSES):
-        h, slope, noise = terms(x, rows_at(x))
-        lo = np.where(h < 0.0, x, lo)
-        hi = np.where(h > 0.0, x, hi)
-        step = x - h / np.where(slope > 0.0, slope, np.nan)
+        vals, slope = phi(base + t[:, None] * dm, dm)
+        sums = vals.sum(axis=1)
+        h = sums - target
+        noise = _EPS4 * (sums + target)
+        lo = np.where(h < 0.0, t, lo)
+        hi = np.where(h > 0.0, t, hi)
+        step = t - h / np.where(slope > 0.0, slope, np.nan)
         newton = (step > lo) & (step < hi)
         done |= np.abs(h) <= noise
-        step = np.where(done, x, np.where(newton, step, 0.5 * (lo + hi)))
-        done |= newton & (np.abs(step - x) <= 1e-9 * np.maximum(np.abs(x), 1.0))
-        x = step
+        step = np.where(done, t, np.where(newton, step, 0.5 * (lo + hi)))
+        done |= newton & (np.abs(step - t) <= 1e-9 * np.maximum(np.abs(t), 1.0))
+        t = step
         if done.all():
             break
-    return rows_at(x)
-
-
-def _scale_root_power(
-    mean: np.ndarray, D: np.ndarray, free: np.ndarray, sr: float, r: int
-) -> np.ndarray:
-    """Rows max(mean + t D, 0), t >= 0, with sum_free of their r-th powers sr.
-
-    h(t) = sum_free max(mean + t D, 0)^r - sr is convex, nondecreasing and
-    unbounded on t >= 0; h(0) <= 0 when the free count is at least the
-    effective count, and rows with h(0) > 0 have no root: NaN.  Newton
-    starts at t = 1, the caller's own point: from h >= 0 it descends
-    monotonically onto the root; from h < 0 its first step lands past it
-    (h is convex), or bisects past the single-coordinate bound hi.
-    """
-    # zero the pinned coordinates up front: 0 + t*0 = 0 and 0^r = 0, so
-    # they drop out of every evaluation without a mask in the loop
-    base = np.where(free, mean, 0.0)
-    dm = np.where(free, D, 0.0)
-    unsolvable = (base**r).sum(axis=1) - sr > _PROJ_TOL * sr
-    # one growing coordinate alone reaching sr bounds the root:
-    # (mean + hi*Dmax)^r = sr, the other terms being nonnegative
-    dmax = dm.max(axis=1)
-    hi = np.maximum((sr ** (1.0 / r) - mean[:, 0]) / np.maximum(dmax, 1e-300), 0.0)
-    hi = np.where(dmax > 0.0, hi, 0.0)
-
-    def terms(t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
-        vr1 = v ** (r - 1)
-        total = (vr1 * v).sum(axis=1)
-        return total - sr, r * (dm * vr1).sum(axis=1), _EPS4 * (total + sr)
-
-    rows = _newton(
-        lambda t: np.maximum(base + t[:, None] * dm, 0.0), terms,
-        np.minimum(hi, 1.0), np.zeros_like(hi), hi, unsolvable.copy(),
-    )
-    return np.where(unsolvable[:, None], np.nan, rows)
-
-
-def _scale_root_prod(
-    mean: np.ndarray, D: np.ndarray, live: np.ndarray, logp: float, floor: float
-) -> np.ndarray:
-    """Rows mean + t D, t >= 0, whose logs sum to logp, pinned ones at ``floor``.
-
-    h(t) = sum log(mean + t D) - logp is concave, h(0) >= 0 (AM-GM),
-    and h falls to -inf as the most-shrinking coordinate x_j reaches 0: the
-    root is unique.  It is solved in y = log x_j, rising in y up to h(0) at
-    y = log mean; rows are x_j = exp(y) and (mean (D - D_j) - exp(y) D) /
-    (-D_j), since mean + t D gives a tiny coordinate an absolute error of
-    ulp(mean).  Uniform rows stay at the mean; rows with h(0) < 0 are NaN.
-    """
-    cnt = live.sum(axis=1)
-    logp = logp - (live.shape[1] - cnt) * math.log(floor)  # what the live ones need
-    m = mean[:, 0]
-    a = -D.min(axis=1)  # the shrink rate of x_j; 0 for uniform rows
-    uniform = ~(a > 0.0)
-    a = np.where(uniform, 1.0, a)
-    spread = mean * (D + a[:, None])  # mean (D - D_j): exactly 0 at j
-    yhi = np.log(m)
-    unsolvable = cnt * yhi - logp < -_PROJ_TOL * np.maximum(1.0, np.abs(logp))
-    # live coordinates are below cnt * mean: h < y + (cnt-1) log(cnt mean) - logp
-    ylo = np.minimum(logp - (cnt - 1) * np.log(cnt * m), yhi)
-
-    def terms(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lx = np.log(x)
-            slope = -(np.exp(y) / a) * (D / x).sum(axis=1)
-        return lx.sum(axis=1) - logp, slope, _EPS4 * (np.abs(lx).sum(axis=1) + np.abs(logp))
-
-    rows = _newton(
-        lambda y: np.where(live, (spread - np.exp(y)[:, None] * D) / a[:, None], 1.0), terms,
-        np.clip(np.log(np.maximum(m - a, 1e-300)), ylo, yhi), ylo, yhi, unsolvable | uniform,
-    )
-    return np.where(unsolvable[:, None], np.nan, rows)  # uniform rows: spread / 1 = mean
+    return np.where(unsolvable[:, None], np.nan, base + t[:, None] * dm)

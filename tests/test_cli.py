@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from energybounds import oracle
 from energybounds.cli import run
 
 
@@ -155,15 +157,27 @@ def test_usage_errors_exit_1(capsys):
     assert "usage" in err
 
 
-def test_search_failure_exits_3(capsys):
-    # p = 1e-300 lies below the search's floors: no row can be projected
-    argv = ["oracle", "trace-norm", "--n", "2", "--s", "2", "--p", "1e-300"]
+def test_tiny_product_search_succeeds(capsys):
+    # p = 1e-300: the search runs in log x, so a coordinate near 2.5e-301
+    # projects like any other
+    argv = ["oracle", "trace-norm", "--n", "2", "--s", "2", "--p", "1e-300", "--json"]
+    assert run(argv) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["result"]["search"]["min"] == pytest.approx(4 * (2.0**2 - 1e-300), rel=1e-9)
+
+
+def test_search_failure_exits_3(capsys, monkeypatch):
+    # a projector that fails every row leaves no search extremes to report
+    monkeypatch.setattr(
+        oracle, "_project", lambda Y, free, *args: (Y, np.zeros(Y.shape[0], dtype=bool))
+    )
+    argv = ["oracle", "trace-norm", "--n", "2", "--s", "2", "--p", "1"]
     assert run(argv + ["--json"]) == 3
     captured = capsys.readouterr()
     payload = json.loads(captured.out, parse_constant=_reject_constant)
     assert payload["result"] is None
     assert payload["diagnostics"]["error"] == "search_failed"
-    assert payload["inputs"]["p"] == 1e-300
+    assert payload["inputs"]["p"] == 1.0
     assert "Traceback" not in captured.err
     assert run(argv) == 3
     captured = capsys.readouterr()
@@ -210,6 +224,21 @@ def test_oracle_trace_norm_json(capsys):
     )
     assert payload["result"]["min"] == pytest.approx(5.096134491443073, rel=1e-6)
     assert payload["result"]["max"] == pytest.approx(7.668396859688313, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "trace-norm", "--n", "3", "--s", "2", "--p", "8.000000004"],
+        ["oracle", "power", "--n", "3", "--r", "3", "--s1", "3", "--sr", "2.999999999"],
+    ],
+)
+def test_oracle_all_equal_within_tolerance(capsys, argv):
+    # within relative 1e-9 of the all-equal point the manifold is that one
+    # point; the search returns 0 there instead of failing to project
+    search = _json_out(capsys, argv + ["--json"])["result"]["search"]
+    assert search["min"] == search["max"] == 0.0
+    assert search["failed"] == []
 
 
 def test_oracle_bad_restarts_exit_1(capsys):

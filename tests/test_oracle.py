@@ -1,5 +1,6 @@
 """Tests for the enumeration and search oracles."""
 
+import functools
 import math
 
 import mpmath
@@ -168,11 +169,37 @@ def _power_rows(seed, rows, n, r):
     return mean, X - mean, sr
 
 
+def _scale_power(mean, D, sr, r):
+    live = np.ones_like(D, dtype=bool)
+    phi = functools.partial(oracle._power, r=r)
+    return oracle._scale_root(mean, D, live, sr, phi, sr ** (1.0 / r))
+
+
+def _scale_exp(mean, D, target):
+    live = np.ones_like(D, dtype=bool)
+    return oracle._scale_root(mean, D, live, target, oracle._exp, math.log(target))
+
+
+def _log_rows(seed, rows, n, tiny=None):
+    """Rows u = log x about their means, where sum x = n at t near 1.
+
+    x is random with sum n, its first entry near e^tiny when ``tiny`` is
+    given, and the offsets from the mean are stretched by 0.8 to 1.25: as a
+    descent step leaves a row of a search in log coordinates.
+    """
+    rng = np.random.default_rng(seed)
+    X = rng.random((rows, n)) + 0.05
+    U = np.log(X / X.sum(axis=1, keepdims=True) * n)
+    if tiny is not None:
+        U[:, 0] = tiny + rng.random(rows)
+    mean = U.mean(axis=1, keepdims=True)
+    return mean, (U - mean) * rng.uniform(0.8, 1.25, (rows, 1))
+
+
 def test_scale_root_power_matches_mpmath():
     for n, r in ((3, 3), (5, 4), (7, 5)):
         mean, D, sr = _power_rows(n * r, 12, n, r)
-        free = np.ones_like(D, dtype=bool)
-        rows = oracle._scale_root_power(mean, D, free, sr, r)
+        rows = np.maximum(_scale_power(mean, D, sr, r), 0.0)
         assert np.isfinite(rows).all()
         resid = np.abs((rows**r).sum(axis=1) - sr)
         assert (resid <= oracle._PROJ_TOL * sr).all()
@@ -187,92 +214,93 @@ def test_scale_root_power_matches_mpmath():
             assert row == pytest.approx(exact, rel=1e-12, abs=1e-13)
 
 
+def test_scale_root_exp_matches_mpmath():
+    # with tiny = -690, one coordinate of each row sits near e^-690, far
+    # below any fixed floor
+    for n, tiny in ((2, None), (4, None), (7, None), (3, -690.0), (7, -690.0)):
+        mean, D = _log_rows(n, 10, n, tiny)
+        rows = _scale_exp(mean, D, float(n))
+        assert np.isfinite(rows).all()
+        logp = n * mean[:, 0]
+        assert np.abs(rows.sum(axis=1) - logp).max() <= 1e-12 * np.abs(logp).max()
+        resid = np.abs(np.exp(rows).sum(axis=1) - n)
+        assert (resid <= oracle._PROJ_TOL * n).all()
+        for row, m, d in zip(rows, mean[:, 0], D):
+            ms, ds = mpmath.mpf(float(m)), [mpmath.mpf(float(v)) for v in d]
+
+            def h(t, ms=ms, ds=ds):
+                return mpmath.fsum(mpmath.exp(ms + t * v) for v in ds) - n
+
+            t = _mp_bisect(h, 0.0, (math.log(n) - m) / max(d))
+            exact = [float(ms + t * v) for v in ds]
+            # each log to four ulp of 690: each coordinate, the tiny ones
+            # too, to a relative 5e-13
+            assert row == pytest.approx(exact, rel=0.0, abs=5e-13)
+        if tiny is not None:
+            assert rows[:, 0].max() < -650.0
+
+
 def test_scale_root_power_root_at_a_clip_kink():
     # mean 1, D = (-2, 0, 2): t = 1/2 gives (0, 1, 2) and S3 = 9 exactly, with
     # the first coordinate reaching 0 at the root itself
     mean = np.ones((2, 1))
     D = np.array([[-2.0, 0.0, 2.0], [2.0, -2.0, 0.0]])
-    rows = oracle._scale_root_power(mean, D, np.ones_like(D, dtype=bool), 9.0, 3)
+    rows = np.maximum(_scale_power(mean, D, 9.0, 3), 0.0)
     assert rows[0] == pytest.approx([0.0, 1.0, 2.0], abs=1e-12)
     assert rows[1] == pytest.approx([2.0, 0.0, 1.0], abs=1e-12)
-    assert (rows >= 0.0).all()
     assert np.abs((rows**3).sum(axis=1) - 9.0).max() <= oracle._PROJ_TOL * 9.0
-
-
-def test_scale_root_prod_matches_mpmath():
-    rng = np.random.default_rng(5)
-    for n, logp in ((2, math.log(0.5)), (4, -3.0), (7, -30.0)):
-        X = rng.random((10, n)) + 0.05
-        X = X / X.sum(axis=1, keepdims=True) * n
-        mean = np.ones((10, 1))
-        D = X - mean
-        live = np.ones_like(D, dtype=bool)
-        rows = oracle._scale_root_prod(mean, D, live, logp, 1e-13)
-        assert np.isfinite(rows).all() and (rows > 0.0).all()
-        resid = np.abs(np.log(rows).sum(axis=1) - logp)
-        assert (resid <= oracle._PROJ_TOL * max(1.0, abs(logp))).all()
-        for row, d in zip(rows, D):
-            ds = [mpmath.mpf(float(v)) for v in d]
-
-            def h(t, ds=ds):
-                return mpmath.fsum(mpmath.log(1 + t * v) for v in ds) - logp
-
-            tcap = 1 / -min(ds)
-            t = _mp_bisect(h, 0.0, tcap * (1 - mpmath.mpf(10) ** -35))
-            exact = [float(1 + t * v) for v in ds]
-            # every coordinate to a relative 1e-12, the smallest too
-            assert row == pytest.approx(exact, rel=1e-12)
 
 
 def test_scale_root_uniform_rows_stay_at_the_mean():
     mean = np.full((2, 1), 2.0)
     D = np.zeros((2, 4))
-    free = np.ones_like(D, dtype=bool)
-    power = oracle._scale_root_power(mean, D, free, 4 * 2.0**3, 3)
-    prod = oracle._scale_root_prod(mean, D, free, 4 * math.log(2.0), 1e-13)
-    assert (power == 2.0).all()
-    assert (prod == 2.0).all()
+    assert (_scale_power(mean, D, 4 * 2.0**3, 3) == 2.0).all()
+    # already on target, and below it: neither can move
+    assert (_scale_exp(mean, D, 4 * math.exp(2.0)) == 2.0).all()
+    assert (_scale_exp(mean, D, 5 * math.exp(2.0)) == 2.0).all()
 
 
 def test_scale_root_unsolvable_rows_are_nan():
     mean = np.array([[1.0], [1.2]])
     D = np.array([[-0.5, 0.0, 0.5], [-0.2, 0.0, 0.2]])
-    free = np.ones_like(D, dtype=bool)
-    # S3 below the all-equal value n*mean^3 >= 3, and a product above mean^n >= 1
-    assert np.isnan(oracle._scale_root_power(mean, D, free, 2.5, 3)).all()
-    assert np.isnan(oracle._scale_root_prod(mean, D, free, 1.0, 1e-13)).all()
+    # S3 below the all-equal value n*mean^3 >= 3, and sum exp below n*e^mean
+    assert np.isnan(_scale_power(mean, D, 2.5, 3)).all()
+    assert np.isnan(_scale_exp(mean, D, 8.0)).all()
     # a solvable row beside an unsolvable one (3 * 1.2^3 > 3.2) keeps its root
-    mixed = oracle._scale_root_power(mean, D, free, 3.2, 3)
+    mixed = _scale_power(mean, D, 3.2, 3)
     assert np.isnan(mixed[1]).all()
-    assert (mixed[0] ** 3).sum() == pytest.approx(3.2, rel=oracle._PROJ_TOL)
+    assert (np.maximum(mixed[0], 0.0) ** 3).sum() == pytest.approx(3.2, rel=oracle._PROJ_TOL)
+    # the same for exp: 3e <= 8.5 < 3e^1.2
+    mixed = _scale_exp(mean, D, 8.5)
+    assert np.isnan(mixed[1]).all()
+    assert np.exp(mixed[0]).sum() == pytest.approx(8.5, rel=oracle._PROJ_TOL)
 
 
 def test_scale_root_newton_passes_are_few(monkeypatch):
     passes = []
-    real = oracle._newton
+    real = oracle._scale_root
 
-    def counting(rows_at, terms, *args):
+    def counting(mean, D, live, target, phi, top):
         calls = []
 
-        def counted(*xs):
+        def counted(v, d=None):
             calls.append(1)
-            return terms(*xs)
+            return phi(v, d)
 
-        out = real(rows_at, counted, *args)
-        passes.append(len(calls))
+        out = real(mean, D, live, target, counted, top)
+        passes.append(len(calls) - 1)  # the first call only tests h(0) <= 0
         return out
 
-    monkeypatch.setattr(oracle, "_newton", counting)
+    monkeypatch.setattr(oracle, "_scale_root", counting)
     # rows a descent step leaves near the manifold: the root is near t = 1
     for n, r in ((3, 3), (5, 4), (7, 5)):
         mean, D, _ = _power_rows(n + r, 8, n, r)
-        free = np.ones((1, n), dtype=bool)
-        for d, t in zip(D, np.linspace(0.9, 1.1, 8)):
-            d = d[None, :]
+        lmean, LD = _log_rows(n + r, 8, n)
+        for d, ld, t in zip(D, LD, np.linspace(0.9, 1.1, 8)):
+            d, ld = d[None, :], ld[None, :]
             sr = float((np.maximum(1.0 + t * d, 0.0) ** r).sum())
-            oracle._scale_root_power(mean[:1], d, free, sr, r)
-            logp = float(np.log(1.0 + t * d).sum())
-            oracle._scale_root_prod(mean[:1], d, free, logp, 1e-13)
+            _scale_power(mean[:1], d, sr, r)
+            _scale_exp(lmean[:1], ld, float(np.exp(lmean[0] + t * ld).sum()))
     # quadratic convergence: a 10 % error is below 1e-9 after three or four steps
     assert max(passes) <= 6 and sum(passes) / len(passes) <= 4.5
     # and over whole searches, random starts included
@@ -284,12 +312,13 @@ def test_scale_root_newton_passes_are_few(monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(2, 8))
-@pytest.mark.parametrize("p", [1e-8, 1e-12])
+@pytest.mark.parametrize("p", [1e-8, 1e-12, 1e-100, 1e-300])
 def test_trace_norm_search_tiny_product(n, p):
-    # p far below s^n: the smallest coordinate of a search row is tiny, and
-    # once made the whole search fail to project
+    # p far below s^n: the minimizer has one coordinate near
+    # p / (ns / (n-1))^(n-1), which the search reaches in log coordinates
     tn = TraceNormConstraints(n, 2.0, p)
     ext = extrema_trace_norm(tn)
     bound = energy_min_trace_norm(tn).value
     assert ext.search_min >= bound - 1e-12 * (n * 2.0) ** 2
+    assert ext.search_min == pytest.approx(bound, rel=1e-9)
     assert ext.search_max >= ext.search_min
