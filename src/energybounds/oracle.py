@@ -412,7 +412,7 @@ def _project(
         good = np.isfinite(scaled).all(axis=1)
         Y = np.where(live & good[:, None], np.maximum(scaled, floor), Y)
         live &= ~(good[:, None] & (Y <= floor))
-        # off the support Y is 0 and phi(0) = 0: full-row sums need no mask
+        # off the support Y = 0 and max(0, 0)^r = 0; exp rows have full support
         sum_err = np.abs(Y.sum(axis=1) - total)
         phi_err = np.abs(phi(Y)[0].sum(axis=1) - target)
         ok = (sum_err <= _PROJ_TOL * np.abs(Y).sum(axis=1)) & (phi_err <= _PROJ_TOL * target)
