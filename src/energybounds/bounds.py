@@ -180,7 +180,7 @@ def energy_min_power(ps: PowerSumConstraints, tol: float = RESIDUAL_TOL) -> Boun
     the Hoelder-equality point (all entries equal) and 1 when S_r = S_1^r
     (single-point mass).
     """
-    root = solve_powersum_alpha(ps.n, 1, ps.r, ps.ratio, Branch.POSITIVE, tol)
+    root = solve_powersum_alpha(ps.n, 1, ps.r, ps.s1, ps.sr, Branch.POSITIVE, tol)
     value = (ps.n - 1) * ps.s1**2 * root.alpha**2
     return BoundReport(
         value,
@@ -245,10 +245,9 @@ def energy_max_power(ps: PowerSumConstraints, tol: float = RESIDUAL_TOL) -> Boun
         return BoundReport(
             value, Formula.THM_ONE_MAX_E, inputs=inputs, diagnostics=diagnostics
         )
-    ratio_nc = ps.ratio_for(nc)
-    root = solve_powersum_alpha(nc, 1, ps.r, ratio_nc, Branch.NEGATIVE, tol)
-    value = ps.s1**2 / nc * (ps.n * (nc - 1) * root.alpha**2 + ps.n - nc)
-    diagnostics["ratio_reduced"] = ratio_nc
+    root = solve_powersum_alpha(nc, 1, ps.r, ps.s1, ps.sr, Branch.NEGATIVE, tol)
+    value = ps.s1**2 / nc * (ps.n * (nc - 1) * root.alpha**2 + (ps.n - nc))
+    diagnostics["ratio_reduced"] = ps.ratio_for(nc)
     return BoundReport(
         value, Formula.THM_ONE_MAX_E, alpha=root, inputs=inputs, diagnostics=diagnostics
     )
@@ -265,11 +264,11 @@ def uv_values(n: int, k: int, r: int, ratio: float, tol: float = RESIDUAL_TOL) -
     m = n / k - 1.0
     u = v = f = g = None
     if exists.negative:
-        a1 = solve_powersum_alpha(n, k, r, ratio, Branch.NEGATIVE, tol)
+        a1 = solve_powersum_alpha(n, k, r, n, ratio, Branch.NEGATIVE, tol)
         u = a1.alpha**2 * m
         g = (u + 1.0) / n
     if exists.positive:
-        a2 = solve_powersum_alpha(n, k, r, ratio, Branch.POSITIVE, tol)
+        a2 = solve_powersum_alpha(n, k, r, n, ratio, Branch.POSITIVE, tol)
         v = a2.alpha**2 * m
         f = (v + 1.0) / n
     return UVValues(u, v, f, g)

@@ -120,7 +120,7 @@ def extrema_two_value(ps: PowerSumConstraints) -> TwoValueExtrema:
             ):
                 if not present:
                     continue
-                root = solve_powersum_alpha(m, k, r, ratio_m, branch)
+                root = solve_powersum_alpha(m, k, r, s1, ps.sr, branch)
                 mk = m / k - 1.0
                 x = s1 * (1.0 + root.alpha * mk) / m
                 y = s1 * (1.0 - root.alpha) / m

@@ -1,9 +1,9 @@
 """Exact integer-polynomial machinery behind the energy bounds.
 
-Resultants, discriminants, the squared-difference polynomial, certified
-real-root classification, irreducibility, the two-parameter family of
-ODE-extremal polynomials, single-polynomial verification, and the
-trace-bounded corpus enumerator.
+The squared-difference polynomial and the discriminant read off it,
+certified real-root classification, irreducibility, the two-parameter
+family of ODE-extremal polynomials, single-polynomial verification, and
+the trace-bounded corpus enumerator.
 """
 
 from .corpus import CorpusStats, corpus_to_csv, default_trace_bound, enumerate_corpus
@@ -13,11 +13,9 @@ from .intpoly import (
     IntPolynomial,
     diffsq_poly,
     discriminant_exact,
-    discriminant_monic,
     parse_poly_line,
     parse_poly_text,
     poly_gcd,
-    resultant,
 )
 from .realroots import (
     RootClassification,
@@ -44,7 +42,6 @@ __all__ = [
     "default_trace_bound",
     "diffsq_poly",
     "discriminant_exact",
-    "discriminant_monic",
     "enumerate_corpus",
     "hermite_family",
     "is_irreducible",
@@ -52,7 +49,6 @@ __all__ = [
     "parse_poly_line",
     "parse_poly_text",
     "poly_gcd",
-    "resultant",
     "squarefree_degree",
     "sturm_chain",
     "verify_theorem2",

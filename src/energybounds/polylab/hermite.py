@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..core import hyperfactorial
-from .intpoly import discriminant_monic
+from .intpoly import IntPolynomial, discriminant_exact
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,11 @@ def hermite_family(n: int, lam, mu) -> HermiteFamily:
     energy = n * (e1 * e1 - 2 * e2) - e1 * e1
 
     pairs = math.comb(n, 2)
-    delta = discriminant_monic(list(reversed(c)))
+    # g(x) = D^n f(x/D) is monic with integer coefficients for D the lcm of
+    # the denominators, and its roots D*x_i give Delta(g) = D^(n(n-1)) Delta(f)
+    d = math.lcm(*(ck.denominator for ck in c))
+    g = IntPolynomial(tuple(int(c[k] * d ** (n - k)) for k in range(n, -1, -1)))
+    delta = Fraction(discriminant_exact(g), d ** (n * (n - 1)))
     return HermiteFamily(
         n=n,
         lam=lam,

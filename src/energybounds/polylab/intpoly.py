@@ -1,10 +1,9 @@
 """Exact arithmetic for integer polynomials.
 
-Everything here is exact: resultants and discriminants go through the
-Sylvester matrix with Bareiss fraction-free elimination, and the
-squared-difference polynomial (roots (x_i - x_j)^2, i < j) is built from
-the root power sums by Newton's identities.  Floating point never enters
-any value returned by this module.
+Everything here is exact: the squared-difference polynomial (roots
+(x_i - x_j)^2, i < j) is built from the root power sums by Newton's
+identities, and the discriminant is read off its constant term.  Floating
+point never enters any value returned by this module.
 """
 
 from __future__ import annotations
@@ -175,83 +174,6 @@ def poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# resultants and discriminants
-
-def _bareiss_det(rows: list[list]) -> object:
-    """Determinant by Bareiss fraction-free elimination.
-
-    Exact for integers (all interior divisions are exact) and for Fractions.
-    """
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    exact_int = all(isinstance(c, int) for r in m for c in r)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * pivot - m[i][k] * m[k][j]
-                m[i][j] = num // prev if exact_int else num / prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[-1][-1]
-
-
-def resultant(f: Sequence, g: Sequence) -> object:
-    """Res(f, g) via the Sylvester matrix; exact for int/Fraction inputs."""
-    f = _poly_trim(list(f))
-    g = _poly_trim(list(g))
-    if not f or not g:
-        raise ValueError("resultant of the zero polynomial is undefined")
-    df, dg = len(f) - 1, len(g) - 1
-    if df == 0:
-        return f[0] ** dg
-    if dg == 0:
-        return g[0] ** df
-    size = df + dg
-    rows = []
-    for i in range(dg):
-        rows.append([0] * i + f + [0] * (size - i - len(f)))
-    for i in range(df):
-        rows.append([0] * i + g + [0] * (size - i - len(g)))
-    return _bareiss_det(rows)
-
-
-def discriminant_monic(coeffs: Sequence) -> object:
-    """Discriminant of a monic polynomial given leading-first coefficients.
-
-    Delta = (-1)^(n(n-1)/2) * Res(f, f'); degree 1 has the empty product 1.
-    Exact for int and Fraction coefficients.
-    """
-    coeffs = list(coeffs)
-    if coeffs[0] != 1:
-        raise ValueError("polynomial must be monic")
-    n = len(coeffs) - 1
-    if n < 1:
-        raise ValueError("degree must be at least 1")
-    if n == 1:
-        return 1
-    res = resultant(coeffs, _derive(coeffs))
-    return (-1) ** (n * (n - 1) // 2) * res
-
-
-def discriminant_exact(poly: IntPolynomial) -> int:
-    """Exact integer discriminant prod_{i<j} (x_i - x_j)^2 of a monic poly."""
-    return discriminant_monic(poly.coeffs)
-
-
-# ---------------------------------------------------------------------------
 # the squared-difference polynomial
 
 def diffsq_poly(poly: IntPolynomial) -> tuple[IntPolynomial, bool]:
@@ -287,6 +209,21 @@ def diffsq_poly(poly: IntPolynomial) -> tuple[IntPolynomial, bool]:
     deriv = _derive(pcoeffs)
     squarefree = _coprime_mod_q(pcoeffs, deriv) or len(poly_gcd(pcoeffs, deriv)) == 1
     return IntPolynomial(tuple(pcoeffs)), squarefree
+
+
+def discriminant_exact(poly: IntPolynomial) -> int:
+    """Exact integer discriminant prod_{i<j} (x_i - x_j)^2 of a monic poly.
+
+    P(0) is the product of the C = binom(n,2) negated roots of P, so for
+    the squared-difference polynomial P(0) = (-1)^C * Delta.  Degree 1 has
+    the empty product 1.
+    """
+    if not poly.is_monic:
+        raise ValueError("polynomial must be monic")
+    n = poly.degree
+    if n == 1:
+        return 1
+    return (-1) ** math.comb(n, 2) * diffsq_poly(poly)[0].coeffs[-1]
 
 
 def _exact_div(a: int, b: int) -> int:

@@ -132,15 +132,16 @@ def root_census(poly: IntPolynomial | Sequence[int]) -> tuple[int, int, int]:
 def certified_roots(poly: IntPolynomial) -> RootClassification:
     """Classify the roots; for the all-real-distinct case return them all.
 
-    Realness and multiplicity decisions are exact (gcd with the derivative,
-    Sturm counts); roots are then isolated by interval bisection on exact
-    rational endpoints to width 1e-12 and Newton-polished in floats.
+    Realness and multiplicity decisions are exact, from one Sturm chain
+    (its last member is the gcd with the derivative, as in ``root_census``);
+    roots are then isolated by interval bisection on exact rational
+    endpoints to width 1e-12 and Newton-polished in floats.
     """
     coeffs = poly.coeffs
     n = poly.degree
-    if len(poly_gcd(coeffs, _derive(list(coeffs)))) > 1:
-        return RootClassification(RootKind.REPEATED_ROOTS)
     chain = sturm_chain(coeffs)
+    if len(chain[-1]) > 1:
+        return RootClassification(RootKind.REPEATED_ROOTS)
     total = _variations_inf(chain, False) - _variations_inf(chain, True)
     if total < n:
         return RootClassification(RootKind.NOT_ALL_REAL)

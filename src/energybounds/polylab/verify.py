@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 from ..core import a_factor_log, hyperfactorial, power_sums_from_coeffs
 from .factor import MAX_DEGREE, is_irreducible
-from .intpoly import IntPolynomial, discriminant_exact, diffsq_poly
+from .intpoly import IntPolynomial, diffsq_poly
 from .realroots import root_census
 # perfbench's tracer wraps these names here
+from .intpoly import discriminant_exact  # noqa: F401
 from .realroots import count_real_roots, is_totally_positive, squarefree_degree  # noqa: F401
 
 
@@ -62,7 +63,8 @@ def verify_theorem2(poly: IntPolynomial) -> PolyReport:
     """Fill a PolyReport for a monic integer polynomial.
 
     One ``root_census`` gives ``all_real`` and ``totally_positive``; a root
-    0 is split off first, since it is real and not positive.
+    0 is split off first, since it is real and not positive.  Delta is read
+    off the squared-difference polynomial, as in ``discriminant_exact``.
 
     Degree 1 is the empty-product case: E = 0, Delta = 1, and the
     inequality holds with equality (both sides 1 after clearing the
@@ -73,7 +75,6 @@ def verify_theorem2(poly: IntPolynomial) -> PolyReport:
     n = poly.degree
     s1, s2 = power_sums_from_coeffs(poly.coeffs, 2)
     energy = n * s2 - s1 * s1
-    delta = discriminant_exact(poly)
     c = math.comb(n, 2)
 
     coeffs = list(poly.coeffs)
@@ -86,11 +87,13 @@ def verify_theorem2(poly: IntPolynomial) -> PolyReport:
     hypothesis = (n - 1) * s2 < s1 * s1 < n * s2
 
     if n == 1:
+        delta = 1
         squarefree = thm2_holds = True
         lhs_log = rhs_log = margin = edelta_margin = 0.0
     else:
         dpoly, squarefree = diffsq_poly(poly)
         assert -dpoly.coeffs[1] == energy, "trace of the squared-difference poly must equal E"
+        delta = (-1) ** c * dpoly.coeffs[-1]  # P(0) = (-1)^C Delta
 
         # with Delta <= 0 the right side is <= 0 <= any admissible energy
         thm2_holds = delta <= 0 or (

@@ -142,7 +142,8 @@ def solve_trace_norm_alpha(
         hi = edge = 1.0 - _EDGE
     f_edge = f(edge)
     if f_edge > 0.0:  # no sign change inside the bracket: the root is beyond its end
-        return AlphaRoot(edge, branch, k, math.exp(log_target) * math.expm1(f_edge), 0, True)
+        # the product at the edge minus p/s^n, in a form that cannot overflow
+        return AlphaRoot(edge, branch, k, math.exp(log_target + f_edge) - math.exp(log_target), 0, True)
     alpha, res, iters = _bisect_newton(f, fp, lo, hi, tol)
     # the product side minus p/s^n, i.e. (p/s^n) * (exp(log residual) - 1)
     return AlphaRoot(alpha, branch, k, math.exp(log_target) * math.expm1(res), iters)
@@ -157,54 +158,67 @@ def _exact_gap(n: int, s: float, p: float) -> float:
 
 
 def solve_powersum_alpha(
-    n: int, k: int, r: int, ratio: float, branch: Branch, tol: float = RESIDUAL_TOL
+    n: int, k: int, r: int, s1: float, sr: float, branch: Branch, tol: float = RESIDUAL_TOL
 ) -> AlphaRoot:
-    """Root of g(alpha) = k(1+alpha*m)^r + (n-k)(1-alpha)^r - ratio on a branch.
+    """Root of k(1+alpha*m)^r + (n-k)(1-alpha)^r = n^r S_r / S_1^r on a branch.
 
-    g decreases strictly on (-k/(n-k), 0) and increases strictly on (0, 1),
-    with g(0) = n - ratio < 0 away from the all-equal case, so each branch
-    holds at most one root; existence is exactly the branch condition of
-    :func:`branch_exists`.  A missing branch raises
+    The constant terms of the left side sum to n and its linear terms cancel,
+    since k*m = n-k, so the equation is solved as
+
+        h(alpha) = sum_{j=2}^{r} C(r,j) alpha^j (k m^j + (n-k)(-1)^j) = gap,
+
+    h evaluated by Horner and the gap n^r S_r / S_1^r - n formed exactly
+    from the float inputs, as in :func:`_exact_gap`: near alpha = 0, where
+    alpha^2 is proportional to the gap, nothing cancels.  h decreases
+    strictly on (-k/(n-k), 0) and increases strictly on (0, 1), so each
+    branch holds at most one root; existence is exactly the branch
+    condition of :func:`branch_exists`.  A missing branch raises
     :class:`BranchMissingError`; a threshold case (k at the existence
     boundary within relative 1e-9) returns the interval endpoint flagged
-    ``at_boundary``.
+    ``at_boundary``.  ``residual`` is h(alpha) - gap.
     """
+    gap = _exact_ratio_gap(n, r, s1, sr)
+    ratio = n + gap
     exists = branch_exists(n, k, r, ratio)
+    if abs(gap) <= REL_TOL * n:
+        return AlphaRoot(0.0, branch, k, -gap, 0, True)
+    if branch is Branch.NEGATIVE and not exists.negative:
+        raise BranchMissingError(
+            "k > n - ntilde",
+            f"negative branch needs k > n - ntilde = {n - exists.ntilde:.12g}, got k={k}",
+        )
+    if branch is Branch.POSITIVE and not exists.positive:
+        raise BranchMissingError(
+            "k < ntilde",
+            f"positive branch needs k < ntilde = {exists.ntilde:.12g}, got k={k}",
+        )
     m = n / k - 1.0
-    if abs(ratio - n) <= REL_TOL * n:
-        return AlphaRoot(0.0, branch, k, _powersum_g(0.0, n, k, r, m, ratio), 0, True)
+    coeffs = [math.comb(r, j) * (k * m**j + (n - k) * (-1) ** j) for j in range(r, 1, -1)]
 
     def g(a: float) -> float:
-        return _powersum_g(a, n, k, r, m, ratio)
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * a + c
+        return a * a * acc - gap
 
     def gp(a: float) -> float:
         return (n - k) * r * ((1.0 + a * m) ** (r - 1) - (1.0 - a) ** (r - 1))
 
-    if branch is Branch.NEGATIVE:
-        if not exists.negative:
-            raise BranchMissingError(
-                "k > n - ntilde",
-                f"negative branch needs k > n - ntilde = {n - exists.ntilde:.12g}, got k={k}",
-            )
-        lo = -k / (n - k) * (1.0 - _EDGE)
-        if g(lo) <= 0.0:  # threshold case: root pinned at the left endpoint
-            return AlphaRoot(lo, branch, k, g(lo), 0, True)
-        alpha, res, iters = _bisect_newton(g, gp, lo, 0.0, tol * max(1.0, ratio))
-    else:
-        if not exists.positive:
-            raise BranchMissingError(
-                "k < ntilde",
-                f"positive branch needs k < ntilde = {exists.ntilde:.12g}, got k={k}",
-            )
-        hi = 1.0
-        if g(hi) <= 0.0:  # ratio at its maximum n^r and k = 1: root at alpha = 1
-            return AlphaRoot(hi, branch, k, g(hi), 0, True)
-        alpha, res, iters = _bisect_newton(g, gp, 0.0, hi, tol * max(1.0, ratio))
+    # g <= 0 at the interval's end is a threshold case (k at the existence
+    # boundary, or the ratio at its maximum n^r with k = 1): the root is the end
+    end = -k / (n - k) * (1.0 - _EDGE) if branch is Branch.NEGATIVE else 1.0
+    if g(end) <= 0.0:
+        return AlphaRoot(end, branch, k, g(end), 0, True)
+    alpha, res, iters = _bisect_newton(g, gp, min(end, 0.0), max(end, 0.0), tol * max(1.0, ratio))
     return AlphaRoot(alpha, branch, k, res, iters)
 
 
-def _powersum_g(a: float, n: int, k: int, r: int, m: float, ratio: float) -> float:
-    return k * (1.0 + a * m) ** r + (n - k) * (1.0 - a) ** r - ratio
+def _exact_ratio_gap(n: int, r: int, s1: float, sr: float) -> float:
+    """n^r S_r / S_1^r - n for the float inputs, in exact integers, rounded once."""
+    a, b = s1.as_integer_ratio()
+    c, d = sr.as_integer_ratio()
+    den = d * a**r
+    return (c * (n * b) ** r - n * den) / den
 
 
 def _check_nk(n: int, k: int) -> None:

@@ -1,8 +1,10 @@
 """Tests for the closed-form bound evaluators."""
 
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
@@ -270,6 +272,52 @@ def test_two_point_minimum_is_exact(x, y):
     report = energy_min_trace_norm(TraceNormConstraints(2, s, p))
     exact = float(4 * (Fraction(s) ** 2 - Fraction(p)))
     assert report.value == pytest.approx(exact, rel=1e-9)
+
+
+def _mp_alpha(n, r, s1, sr, negative):
+    """60-digit root of (1 + a(n-1))^r + (n-1)(1-a)^r = n^r S_r / S_1^r."""
+    with mpmath.workdps(60):
+        target = mpmath.mpf(n) ** r * mpmath.mpf(sr) / mpmath.mpf(s1) ** r
+        zero, one = mpmath.mpf(0), mpmath.mpf(1)  # mpf ends keep the bisection at 60 digits
+        lo, hi = (-one / (n - 1), zero) if negative else (zero, one)
+        for _ in range(220):
+            mid = (lo + hi) / 2
+            above = (1 + mid * (n - 1)) ** r + (n - 1) * (1 - mid) ** r > target
+            if above != negative:
+                hi = mid
+            else:
+                lo = mid
+        return (lo + hi) / 2
+
+
+def test_power_bounds_near_equal_are_exact():
+    # n = 2, r = 3: S_1 and S_3 fix the pair, so both bounds are the energy
+    # (4 S_3/S_1 - S_1^2)/3, here exact in Fractions of the float inputs
+    rng = random.Random(2022)
+    for _ in range(300):
+        x = rng.uniform(0.1, 50.0)
+        y = x + rng.uniform(0.01, 0.05)
+        s1, s3 = x + y, x**3 + y**3
+        ps = PowerSumConstraints(2, 3, s1, s3)
+        exact = float((4 * Fraction(s3) / Fraction(s1) - Fraction(s1) ** 2) / 3)
+        assert energy_min_power(ps).value == pytest.approx(exact, rel=1e-12, abs=0)
+        assert energy_max_power(ps).value == pytest.approx(exact, rel=1e-12, abs=0)
+    # larger n: S_r at log-position u between all-equal (0) and one point (1)
+    for n in (3, 8, 64, 512):
+        for r in (3, 4, 5):
+            ends = (10 ** rng.uniform(-7, -4), 1 - 10 ** rng.uniform(-7, -4))
+            for u in (*ends, rng.uniform(0.02, 0.98)):
+                s1 = rng.uniform(0.5, 10.0)
+                sr = math.exp(r * math.log(s1) - (1 - u) * (r - 1) * math.log(n))
+                ps = PowerSumConstraints(n, r, s1, sr)
+                a = _mp_alpha(n, r, s1, sr, False)
+                emin = (n - 1) * s1**2 * a**2
+                assert energy_min_power(ps).value == pytest.approx(float(emin), rel=1e-12, abs=0)
+                nc = ps.ntilde_ceil
+                if nc > 1:
+                    a = _mp_alpha(nc, r, s1, sr, True)
+                    emax = s1**2 / nc * (n * (nc - 1) * a**2 + (n - nc))
+                    assert energy_max_power(ps).value == pytest.approx(float(emax), rel=1e-12, abs=0)
 
 
 @given(

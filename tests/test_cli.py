@@ -43,6 +43,16 @@ def test_bound_emin_tn_tiny_product(capsys):
         assert payload["result"]["value"] == pytest.approx(limit, rel=1e-12)
         assert payload["result"]["alpha"]["at_boundary"] is True
 
+
+def test_bound_emin_tn_smallest_product(capsys):
+    # p/s^n near the bottom of the float range: the root lies beyond the
+    # bracket's end, whose residual once overflowed
+    payload = _json_out(
+        capsys, ["bound", "emin-tn", "--n", "2", "--s", "2", "--p", "5e-324", "--json"]
+    )
+    assert payload["result"]["value"] == pytest.approx(16.0, abs=1e-9)
+
+
 def test_bound_emax_power_json(capsys):
     payload = _json_out(
         capsys,

@@ -19,7 +19,6 @@ from energybounds.polylab import (
     default_trace_bound,
     diffsq_poly,
     discriminant_exact,
-    discriminant_monic,
     enumerate_corpus,
     hermite_family,
     is_irreducible,
@@ -27,7 +26,6 @@ from energybounds.polylab import (
     parse_poly_line,
     parse_poly_text,
     poly_gcd,
-    resultant,
     sturm_chain,
     squarefree_degree,
     verify_theorem2,
@@ -81,27 +79,16 @@ def test_poly_basics():
     assert prod == IntPolynomial((1, 0, -1))
 
 
-# --- resultants and discriminants ---------------------------------------------
-
-
-def test_resultant_witness():
-    # res(f, g) = lc(g)^deg f * prod f(roots of g): f(2) f(-2) = 3 * 3
-    assert resultant([1, 0, -1], [1, 0, -4]) == 9
-    assert resultant([7], [1, 0, -4]) == 49  # constant: 7^deg g
-    with pytest.raises(ValueError):
-        resultant([0], [1, 1])
+# --- discriminants ---------------------------------------------------------------
 
 
 def test_discriminant_witnesses():
     assert discriminant_exact(GOLDEN_QUADRATIC) == 5  # b^2 - 4ac
     assert discriminant_exact(P123) == 4  # 1 * 4 * 1 over the pairs
-    assert discriminant_monic([1, 0, -3, 0]) == 108  # x^3 - 3x
-    assert discriminant_monic([1, -2]) == 1  # empty product at degree 1
-    assert discriminant_monic(
-        [Fraction(1), Fraction(0), Fraction(-3), Fraction(0)]
-    ) == Fraction(108)
+    assert discriminant_exact(IntPolynomial((1, 0, -3, 0))) == 108  # x^3 - 3x
+    assert discriminant_exact(IntPolynomial((1, -2))) == 1  # empty product at degree 1
     with pytest.raises(ValueError, match="monic"):
-        discriminant_monic([2, 0, -3, 0])
+        discriminant_exact(IntPolynomial((2, 0, -3, 0)))
 
 
 def test_discriminant_equals_pairwise_product():
@@ -258,7 +245,7 @@ def test_hermite_witness():
 
 
 def test_hermite_identities_exact():
-    for n in range(2, 9):
+    for n in range(2, 13):
         fam = hermite_family(n, Fraction(3, 7), Fraction(-2, 5))
         assert fam.energy_identity and fam.delta_identity
         pairs = math.comb(n, 2)
@@ -553,6 +540,7 @@ def test_polylab_matches_sympy(corpus6):
         assert list(dpoly.coeffs) == [int(c) for c in ref[::2]], poly
         assert squarefree == sympy.Poly(ref[::2], z).is_sqf, poly
         assert discriminant_exact(poly) == int(sympy.discriminant(f)), poly
+        assert verify_theorem2(poly).Delta == int(sympy.discriminant(f)), poly
         assert is_irreducible(poly) == f.is_irreducible, poly
     leaves, _, _ = corpus6
     for poly in leaves:

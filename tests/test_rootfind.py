@@ -55,8 +55,9 @@ def test_trace_norm_infeasible():
 
 
 def test_powersum_positive_witness():
-    # ratio 9 at (n=3, k=1, r=3): the root solves a^3 + 3a^2 = 1
-    root = solve_powersum_alpha(3, 1, 3, 9.0, Branch.POSITIVE)
+    # ratio 9 at (n=3, k=1, r=3), passed as S1 = n and Sr = ratio as every
+    # call here does: the root solves a^3 + 3a^2 = 1
+    root = solve_powersum_alpha(3, 1, 3, 3, 9.0, Branch.POSITIVE)
     a = root.alpha
     assert a**3 + 3 * a**2 == pytest.approx(1.0, abs=1e-10)
     assert a == pytest.approx(0.53208888623795614, abs=1e-12)
@@ -64,12 +65,12 @@ def test_powersum_positive_witness():
 
 def test_powersum_negative_witness():
     # two-point reduction of the same data: 2 + 6a^2 = 8/3 gives a = -1/3
-    root = solve_powersum_alpha(2, 1, 3, 8.0 / 3.0, Branch.NEGATIVE)
+    root = solve_powersum_alpha(2, 1, 3, 2, 8.0 / 3.0, Branch.NEGATIVE)
     assert root.alpha == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
 
 def test_powersum_degenerate_ratio_n():
-    root = solve_powersum_alpha(3, 1, 3, 3.0, Branch.POSITIVE)
+    root = solve_powersum_alpha(3, 1, 3, 3, 3.0, Branch.POSITIVE)
     assert root.alpha == 0.0
     assert root.at_boundary
 
@@ -80,13 +81,13 @@ def test_powersum_missing_branch():
     assert not exists.negative and exists.positive
     assert exists.ntilde == pytest.approx(math.sqrt(3.0), rel=1e-12)
     with pytest.raises(BranchMissingError) as err:
-        solve_powersum_alpha(3, 1, 3, 9.0, Branch.NEGATIVE)
+        solve_powersum_alpha(3, 1, 3, 3, 9.0, Branch.NEGATIVE)
     assert err.value.condition == "k > n - ntilde"
     # and k=2 the other way around
     assert branch_exists(3, 2, 3, 9.0).negative
     assert not branch_exists(3, 2, 3, 9.0).positive
     with pytest.raises(BranchMissingError):
-        solve_powersum_alpha(3, 2, 3, 9.0, Branch.POSITIVE)
+        solve_powersum_alpha(3, 2, 3, 3, 9.0, Branch.POSITIVE)
 
 
 def test_branch_exists_ratio_domain():
@@ -132,9 +133,9 @@ def test_powersum_root_properties(n, r, u):
                                 (Branch.POSITIVE, exists.positive)):
             if not present:
                 with pytest.raises(BranchMissingError):
-                    solve_powersum_alpha(n, k, r, ratio, branch)
+                    solve_powersum_alpha(n, k, r, n, ratio, branch)
                 continue
-            root = solve_powersum_alpha(n, k, r, ratio, branch)
+            root = solve_powersum_alpha(n, k, r, n, ratio, branch)
             if not root.at_boundary:
                 assert abs(root.residual) <= 1e-10 * max(1.0, ratio)
             if branch is Branch.NEGATIVE:
@@ -158,6 +159,6 @@ def test_branch_negative_magnitude_dominates(n, r, u):
         exists = branch_exists(n, k, r, ratio)
         if not (exists.negative and exists.positive):
             continue
-        a1 = solve_powersum_alpha(n, k, r, ratio, Branch.NEGATIVE).alpha
-        a2 = solve_powersum_alpha(n, k, r, ratio, Branch.POSITIVE).alpha
+        a1 = solve_powersum_alpha(n, k, r, n, ratio, Branch.NEGATIVE).alpha
+        a2 = solve_powersum_alpha(n, k, r, n, ratio, Branch.POSITIVE).alpha
         assert abs(a1) >= a2 - 1e-12
