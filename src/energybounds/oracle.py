@@ -181,8 +181,8 @@ def extrema_search(
         *_descend(
             n, s1, restarts, max_iters, start,
             reseeds=9,
+            floor=0.0,
             project=lambda X, free: _project(X, free, s1, sr, phi, top, 0.0),
-            to_x=np.asarray,  # the identity on arrays
             # a coordinate shrinks by at most 1000x per step, so rows stay
             # strictly inside their stratum
             move=lambda X, _, V: np.maximum(X - V, 1e-3 * X),
@@ -213,18 +213,18 @@ def extrema_trace_norm(
     if tn.all_equal:
         only = CriticalConfig(n, s, 0.0, 0, 0.0, ConfigKind.INTERIOR)
         return TraceNormExtrema(0.0, 0.0, (only,), 0.0, 0.0, ())
+    s1, logp = n * s, math.log(tn.p)
     cands: list[CriticalConfig] = []
     for k in range(1, n):
-        for branch in (Branch.NEGATIVE, Branch.POSITIVE):
-            root = solve_trace_norm_alpha(n, k, s, tn.p, branch)
-            mk = n / k - 1.0
-            x = s * (1.0 + root.alpha * mk)
-            y = s * (1.0 - root.alpha)
-            e = mk * root.alpha**2 * (n * s) ** 2
-            cands.append(CriticalConfig(k, x, y, 0, e, ConfigKind.INTERIOR))
+        mk = n / k - 1.0
+        for branch, j in ((Branch.NEGATIVE, k), (Branch.POSITIVE, n - k)):
+            a = solve_trace_norm_alpha(n, k, s, tn.p, branch).alpha
+            # j small values off the product: s(1 + a mk) loses them as p/s^n -> 0
+            large = s * (1.0 - a) if branch is Branch.NEGATIVE else s * (1.0 + a * mk)
+            small = math.exp((logp - (n - j) * math.log(large)) / j)
+            x, y = (small, large) if branch is Branch.NEGATIVE else (large, small)
+            cands.append(CriticalConfig(k, x, y, 0, mk * a**2 * s1**2, ConfigKind.INTERIOR))
     values = [c.E for c in cands]
-    s1 = n * s
-    logp = tn.log_target + n * math.log(s)
 
     def start(row: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, row])))
@@ -234,8 +234,8 @@ def extrema_trace_norm(
     smin, smax, failed = _descend(
         n, s1, restarts, max_iters, start,
         reseeds=0,
+        floor=-math.inf,
         project=lambda U, free: _project(U, free, logp, s1, _exp, math.log(s1), -math.inf),
-        to_x=np.exp,
         move=_log_step,
         # 1/x scaled by the row's smallest x, so its squares cannot overflow
         weight=lambda U: np.exp(U.min(axis=1, keepdims=True) - U),
@@ -265,13 +265,15 @@ def _exp(v: np.ndarray, d: np.ndarray | None = None) -> tuple:
     return e, None if d is None else (d * e).sum(axis=1)
 
 
-def _log_step(U: np.ndarray, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+def _log_step(U: np.ndarray, _X: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The x step X - V, floored at 1e-3 X as for power sums, taken in log x.
 
-    V's absolute error, near 1e-15 s, swamps V_j / x_j at a tiny smallest
-    x_j, so its step comes from the tangent condition sum du = 0 instead.
+    V / x is V exp(-u), -u capped at 700 - max u (|V| <= 0.8 s <= max x), so
+    it stays finite where x underflows.  V's absolute error, near 1e-15 s,
+    swamps V_j / x_j at a tiny smallest x_j: its step comes from sum du = 0.
     """
-    du = np.log1p(np.maximum(-V / X, -0.999))
+    cap = 700.0 - U.max(axis=1, keepdims=True)
+    du = np.log1p(np.maximum(-V * np.exp(np.minimum(-U, cap)), -0.999))
     du[np.arange(len(du)), U.argmin(axis=1)] -= du.sum(axis=1)
     return U + du
 
@@ -284,15 +286,15 @@ def _descend(
     start: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
     *,
     reseeds: int,
+    floor: float,
     project: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    to_x: Callable[[np.ndarray], np.ndarray],
     move: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     weight: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[float, float, tuple[int, ...]]:
     """Projected-gradient search over both constraint families.
 
-    Rows hold a family's coordinates: x, or u = log x, which ``to_x`` maps
-    to x.  Rows below ``restarts`` minimize E, the rest maximize it.
+    Rows hold x (projector ``floor`` 0) or u = log x (``floor`` -inf).
+    Rows below ``restarts`` minimize E, the rest maximize it.
     ``start(row, attempt)`` gives a row and its support; rows that
     ``project(rows, free)`` fails on start again, up to ``reseeds`` times.
     Steps are taken in x, along the energy gradient less its components
@@ -300,6 +302,7 @@ def _descend(
     second constraint's x-gradient); ``move(rows, x, step)`` gives the
     trial rows at x - step.  Returns (min E, max E, failed rows).
     """
+    to_x = np.asarray if floor == 0.0 else np.exp
     rows = 2 * restarts
     S = np.zeros((rows, n))
     free = np.zeros((rows, n), dtype=bool)
@@ -332,11 +335,10 @@ def _descend(
         active &= ~stalled
         step = np.where(norm > 0.0, eta / np.maximum(norm, 1e-300), 0.0)
         trial, proj_ok = project(move(S, X, step[:, None] * grad), free)
-        trial_x = to_x(trial)
-        phi = direction * _row_energy(trial_x, n)
-        # the projection may pin a coordinate at zero; reject such trials so
-        # the row keeps to its stratum (deeper strata have their own rows)
-        alive = np.where(free, trial_x, 1.0).min(axis=1) > 0.0
+        phi = direction * _row_energy(to_x(trial), n)
+        # keep rows in their stratum: reject trials pinned at the floor, read
+        # in the row's coordinates (an x that underflows to 0 is a live u)
+        alive = np.where(free, trial, np.inf).min(axis=1) > floor
         accept = active & proj_ok & alive & (phi < best)
         S = np.where(accept[:, None], trial, S)
         best = np.where(accept, phi, best)
@@ -455,14 +457,17 @@ def _scale_root(
         vals, slope = phi(base + t[:, None] * dm, dm)
         sums = vals.sum(axis=1)
         h = sums - target
-        noise = _EPS4 * (sums + target)
+        scale = np.maximum(t, 1.0)  # t >= 0 throughout
+        # h's rounding error: that of the sums, or h' times that of t
+        noise = _EPS4 * np.maximum(sums + target, slope * scale)
         lo = np.where(h < 0.0, t, lo)
         hi = np.where(h > 0.0, t, hi)
         step = t - h / np.where(slope > 0.0, slope, np.nan)
         newton = (step > lo) & (step < hi)
         done |= np.abs(h) <= noise
-        step = np.where(done, t, np.where(newton, step, 0.5 * (lo + hi)))
-        done |= newton & (np.abs(step - t) <= 1e-9 * np.maximum(np.abs(t), 1.0))
+        # a step to or past hi (only ever from h < 0) goes to hi, where h >= 0
+        step = np.where(done, t, np.where(newton, step, np.where(step >= hi, hi, 0.5 * (lo + hi))))
+        done |= newton & (np.abs(step - t) <= 1e-9 * scale)
         t = step
         if done.all():
             break

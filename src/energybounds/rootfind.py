@@ -10,8 +10,8 @@ the remaining constraint pins alpha inside (-k/(n-k), 1):
   * fixed product (trace/norm):  (1 + alpha*m)^k (1 - alpha)^(n-k) = p / s^n,
   * fixed power sum S_r:  k (1 + alpha*m)^r + (n-k)(1 - alpha)^r = n^r S_r / S_1^r.
 
-Both right-hand sides admit at most one root on each side of alpha = 0; the
-solvers below bracket the relevant side and polish with Newton.
+Both admit at most one root on each side of alpha = 0.  The solvers bracket
+it, the trace/norm one in the log of the smaller value, and polish with Newton.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .core import REL_TOL, FeasibilityError
 #: Default relative residual target for the polished root.
 RESIDUAL_TOL = 1e-10
 
-#: Brackets stay this far inside the open interval of definition.
+#: The power-sum bracket's negative end stays this far inside the interval.
 _EDGE = 1e-14
 
 _MAX_ITER = 80
@@ -50,8 +50,8 @@ class AlphaRoot:
     """A solved branch parameter.
 
     ``residual`` is the defining function evaluated at ``alpha``;
-    ``at_boundary`` marks roots pinned to an endpoint of the open interval
-    (degenerate constraints), where the solver did not iterate.
+    ``at_boundary`` marks roots not iterated for: alpha = 0 at the all-equal
+    point, and power-sum threshold cases pinned to an end of the interval.
     """
 
     alpha: float
@@ -101,50 +101,49 @@ def solve_trace_norm_alpha(
     The left side equals 1 at alpha = 0 and tends to 0 at both ends of
     (-k/(n-k), 1), so for p < s^n there is exactly one root of each sign.
     Feasibility (p <= s^n) is rechecked here; p within relative tolerance of
-    s^n degenerates to alpha = 0.
+    s^n degenerates to alpha = 0, flagged ``at_boundary``.
 
-    The root is found in log form, k log1p(alpha*m) + (n-k) log1p(-alpha) =
-    log(p/s^n).  Near the all-equal point the right side is log1p(-gap) with
-    the gap 1 - p/s^n formed exactly from the float inputs and rounded once:
-    there alpha^2 is proportional to the gap, and reading the gap off two
-    nearly equal logarithms would cost most of its digits.  ``residual`` is
-    still that of the product equation.  For p/s^n so small that the root
-    lies between an end of the interval and the bracket's margin inside it,
-    the bracket end is returned flagged ``at_boundary``.
+    The root is found in t = log(x_small / s), finite for every float p and
+    s.  With j copies of the small value (j = k on the negative branch,
+    n - k on the positive one) and q = j / (n - j), both branches solve
+
+        F(t) = j t + (n-j) log1p(-q expm1(t)) = log(p / s^n),   t < 0,
+
+    with F increasing; alpha = expm1(t)/m on the negative branch and
+    -expm1(t) on the positive one.  Near the all-equal point the right side
+    is log1p(-gap) with the gap 1 - p/s^n formed exactly from the float
+    inputs and rounded once: there t^2 is proportional to the gap, and
+    reading the gap off two nearly equal logarithms would cost most of its
+    digits.  ``residual`` is still that of the product equation.
     """
     _check_nk(n, k)
     if not (s > 0.0 and p > 0.0):
         raise ValueError("s and p must be positive")
     log_target = math.log(p) - n * math.log(s)
     if log_target > REL_TOL:
-        raise FeasibilityError(
-            "p <= s^n", f"p={p} exceeds s^n for s={s}, n={n}"
-        )
+        raise FeasibilityError("p <= s^n", f"p={p} exceeds s^n for s={s}, n={n}")
     if log_target >= -REL_TOL:
         return AlphaRoot(0.0, branch, k, -math.expm1(log_target), 0, True)
     if log_target > -math.log(2.0):  # p/s^n > 1/2: the gap is the accurate datum
         log_target = math.log1p(-_exact_gap(n, s, p))
-    m = n / k - 1.0
-    c = -(n - k) * (m + 1.0)
+    j = k if branch is Branch.NEGATIVE else n - k
+    q = j / (n - j)
 
-    def f(a: float) -> float:
-        return k * math.log1p(a * m) + (n - k) * math.log1p(-a) - log_target
+    def f(t: float) -> float:
+        return j * t + (n - j) * math.log1p(-q * math.expm1(t)) - log_target
 
-    def fp(a: float) -> float:
-        # d/da of the log side, with k*m = n-k folded in to avoid cancellation
-        return c * a / ((1.0 + a * m) * (1.0 - a))
+    def fp(t: float) -> float:
+        em = math.expm1(t)
+        return -n * q * em / (1.0 - q * em)
 
-    if branch is Branch.NEGATIVE:
-        lo = edge = -k / (n - k) * (1.0 - _EDGE)
-        hi = 0.0
-    else:
-        lo = 0.0
-        hi = edge = 1.0 - _EDGE
-    f_edge = f(edge)
-    if f_edge > 0.0:  # no sign change inside the bracket: the root is beyond its end
-        # the product at the edge minus p/s^n, in a form that cannot overflow
-        return AlphaRoot(edge, branch, k, math.exp(log_target + f_edge) - math.exp(log_target), 0, True)
-    alpha, res, iters = _bisect_newton(f, fp, lo, hi, tol)
+    # j t <= F(t) <= j t + (n-j) log1p(q) brackets t; two sweeps of the
+    # increasing map t - f(t)/j narrow both ends, padded against rounding
+    lo, hi = (log_target - (n - j) * math.log1p(q)) / j, log_target / j
+    for _ in range(2):
+        lo, hi = lo - f(lo) / j, hi - f(hi) / j
+    pad = 1e-12 * (1.0 - lo)
+    t, res, iters = _bisect_newton(f, fp, lo - pad, hi + pad, tol)
+    alpha = math.expm1(t) / (n / k - 1.0) if branch is Branch.NEGATIVE else -math.expm1(t)
     # the product side minus p/s^n, i.e. (p/s^n) * (exp(log residual) - 1)
     return AlphaRoot(alpha, branch, k, math.exp(log_target) * math.expm1(res), iters)
 
@@ -276,11 +275,7 @@ def _bisect_newton(
         lo, flo = x, fx
     while iters < _MAX_ITER:
         d = fp(x)
-        if d != 0.0:
-            step = fx / d
-            x_new = x - step
-        else:
-            x_new = math.nan
+        x_new = x - fx / d if d != 0.0 else math.nan
         # a Newton step that rounds to no move has converged; test it before
         # the safeguard, which would replace it by a bisection step
         if x_new == x:

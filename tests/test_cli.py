@@ -41,7 +41,9 @@ def test_bound_emin_tn_tiny_product(capsys):
             capsys, ["bound", "emin-tn", "--n", n, "--s", "2", "--p", p, "--json"]
         )
         assert payload["result"]["value"] == pytest.approx(limit, rel=1e-12)
-        assert payload["result"]["alpha"]["at_boundary"] is True
+        alpha = payload["result"]["alpha"]
+        assert abs(alpha["residual"]) <= payload["diagnostics"]["tol"] * float(p) / 2.0 ** int(n)
+        assert alpha["at_boundary"] is False
 
 
 def test_bound_emin_tn_smallest_product(capsys):
@@ -174,6 +176,14 @@ def test_tiny_product_search_succeeds(capsys):
     assert run(argv) == 0
     payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert payload["result"]["search"]["min"] == pytest.approx(4 * (2.0**2 - 1e-300), rel=1e-9)
+    # at s = 1e6 the minimizer's small coordinate, about 4e-337, underflows
+    # x = exp(u); the search still reaches the bound
+    argv = ["oracle", "trace-norm", "--n", "7", "--s", "1e6", "--p", "1e-300", "--json"]
+    assert run(argv) == 0
+    result = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["result"]
+    bound = min(c["E"] for c in result["candidates"])
+    assert result["search"]["min"] == pytest.approx(bound, rel=1e-9)
+    assert result["min"] == pytest.approx(bound, rel=1e-9)
 
 
 def test_search_failure_exits_3(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -121,6 +122,30 @@ def test_trace_norm_witness():
         assert sum(xs) == pytest.approx(6.0, rel=1e-9)
         assert math.prod(xs) == pytest.approx(6.0, rel=1e-8)
         assert cand.E == pytest.approx(energy(xs), rel=1e-8, abs=1e-12)
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0, 1e3, 1e6])
+def test_trace_norm_candidates_keep_both_constraints(s):
+    # each candidate's small value is read off the product, so both
+    # constraints hold to rounding however small p/s^n is; s(1 + alpha m)
+    # misses log p by 8e-4 already at n = 3, s = 2, p = 1e-12
+    log_tiny = math.log(sys.float_info.min)
+    for n in range(2, 13):
+        for p in (1e-300, 1e-100, 1e-12, 1e-3):
+            if math.log(p) >= n * math.log(s):
+                continue
+            ext = extrema_trace_norm(TraceNormConstraints(n, s, p), restarts=1, max_iters=0)
+            for cand in ext.candidates:
+                j = cand.k if cand.x < cand.y else n - cand.k
+                # the true small value, to rounding wherever it is this small:
+                # no float holds it below the smallest normal
+                if math.log(p) - (n - j) * math.log(n * s / (n - j)) < j * log_tiny:
+                    continue
+                xs = cand.as_tuple(n)
+                assert math.fsum(xs) == pytest.approx(n * s, rel=1e-12), (n, p, cand)
+                assert math.fsum(map(math.log, xs)) == pytest.approx(
+                    math.log(p), abs=1e-12 * abs(math.log(p))
+                ), (n, p, cand)
 
 
 def test_trace_norm_all_equal():
@@ -312,13 +337,22 @@ def test_scale_root_newton_passes_are_few(monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(2, 8))
-@pytest.mark.parametrize("p", [1e-8, 1e-12, 1e-100, 1e-300])
-def test_trace_norm_search_tiny_product(n, p):
+@pytest.mark.parametrize(
+    "s, p",
+    [pytest.param(2.0, p, id=f"{p}") for p in (1e-8, 1e-12, 1e-100, 1e-300)]
+    + [
+        pytest.param(s, p, id=f"{p}-s{s:g}")
+        for s in (1.0, 1e3, 1e6)
+        for p in (1e-12, 1e-100, 1e-250, 1e-300)
+    ],
+)
+def test_trace_norm_search_tiny_product(n, s, p):
     # p far below s^n: the minimizer has one coordinate near
-    # p / (ns / (n-1))^(n-1), which the search reaches in log coordinates
-    tn = TraceNormConstraints(n, 2.0, p)
+    # p / (ns / (n-1))^(n-1), which the search reaches in log coordinates,
+    # also where that coordinate underflows x = exp(u) (s = 1e6, p = 1e-300)
+    tn = TraceNormConstraints(n, s, p)
     ext = extrema_trace_norm(tn)
     bound = energy_min_trace_norm(tn).value
-    assert ext.search_min >= bound - 1e-12 * (n * 2.0) ** 2
+    assert ext.search_min >= bound - 1e-12 * (n * s) ** 2
     assert ext.search_min == pytest.approx(bound, rel=1e-9)
     assert ext.search_max >= ext.search_min
