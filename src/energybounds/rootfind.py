@@ -109,12 +109,12 @@ def solve_trace_norm_alpha(
 
         F(t) = j t + (n-j) log1p(-q expm1(t)) = log(p / s^n),   t < 0,
 
-    with F increasing; alpha = expm1(t)/m on the negative branch and
-    -expm1(t) on the positive one.  Near the all-equal point the right side
-    is log1p(-gap) with the gap 1 - p/s^n formed exactly from the float
-    inputs and rounded once: there t^2 is proportional to the gap, and
-    reading the gap off two nearly equal logarithms would cost most of its
-    digits.  ``residual`` is still that of the product equation.
+    with F increasing and concave; alpha = expm1(t)/m on the negative branch
+    and -expm1(t) on the positive one.  Near the all-equal point the right
+    side is log1p(-gap) with the gap 1 - p/s^n formed exactly from the float
+    inputs and rounded once: there t^2 is proportional to the gap, and reading
+    the gap off two nearly equal logarithms would cost most of its digits.
+    ``residual`` is still that of the product equation.
     """
     _check_nk(n, k)
     if not (s > 0.0 and p > 0.0):
@@ -136,16 +136,18 @@ def solve_trace_norm_alpha(
         em = math.expm1(t)
         return -n * q * em / (1.0 - q * em)
 
-    # j t <= F(t) <= j t + (n-j) log1p(q) brackets t; two sweeps of the
-    # increasing map t - f(t)/j narrow both ends, padded against rounding
-    lo, hi = (log_target - (n - j) * math.log1p(q)) / j, log_target / j
-    for _ in range(2):
-        lo, hi = lo - f(lo) / j, hi - f(hi) / j
-    pad = 1e-12 * (1.0 - lo)
+    # f(hi) >= 0 as F >= j t and F >= -nq t^2/2 (F(0) = F'(0) = 0, F'' >= -nq).  F is
+    # concave: Newton from hi stays below the root, and F' >= F'(hi) below hi bounds it
+    hi = min(log_target / j, -math.sqrt(-2.0 * log_target / (n * q)))
+    lo = hi
+    for _ in range(3):
+        lo -= f(lo) / fp(lo)
+    hi = max(lo, lo - f(lo) / fp(hi))
+    pad = 1e-12 * (1.0 - lo)  # against rounding
     t, res, iters = _bisect_newton(f, fp, lo - pad, hi + pad, tol)
     alpha = math.expm1(t) / (n / k - 1.0) if branch is Branch.NEGATIVE else -math.expm1(t)
     # the product side minus p/s^n, i.e. (p/s^n) * (exp(log residual) - 1)
-    return AlphaRoot(alpha, branch, k, math.exp(log_target) * math.expm1(res), iters)
+    return AlphaRoot(alpha, branch, k, math.exp(log_target) * math.expm1(res), iters + 3)
 
 
 def _exact_gap(n: int, s: float, p: float) -> float:
@@ -153,7 +155,7 @@ def _exact_gap(n: int, s: float, p: float) -> float:
     a, b = s.as_integer_ratio()
     c, d = p.as_integer_ratio()
     den = d * a**n
-    return (den - c * b**n) / den
+    return (den - (c << n * (b.bit_length() - 1))) / den  # b is a power of two
 
 
 def solve_powersum_alpha(
@@ -228,11 +230,7 @@ def _check_nk(n: int, k: int) -> None:
 
 
 def _bisect_newton(
-    f: Callable[[float], float],
-    fp: Callable[[float], float],
-    lo: float,
-    hi: float,
-    ftol: float,
+    f: Callable[[float], float], fp: Callable[[float], float], lo: float, hi: float, ftol: float
 ) -> tuple[float, float, int]:
     """Hybrid bracketed solver: bisect to width 1e-6, then Newton with the
     bracket as a safeguard.  Returns (root, residual, iterations).

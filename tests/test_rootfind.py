@@ -43,6 +43,20 @@ def test_trace_norm_witness_n3():
     assert root.iterations <= 22
 
 
+@pytest.mark.parametrize("log_ratio", [-2e-9, -1e-6, -1e-3, -0.3, -5.0, -230.0])
+def test_trace_norm_iterations_steady(log_ratio):
+    # the concave equation's bracket is tight at every distance from the
+    # all-equal point: a few steps each, where bisection once took 20 more
+    for n in (2, 3, 7, 64, 512):
+        s = 1.1
+        p = math.exp(n * math.log(s) + log_ratio)
+        for k in sorted({1, n // 2, n - 1}):
+            for branch in Branch:
+                root = solve_trace_norm_alpha(n, k, s, p, branch)
+                assert root.iterations <= 6
+                assert abs(root.residual) <= 1e-10 * p / s**n
+
+
 def test_trace_norm_all_equal_limit():
     root = solve_trace_norm_alpha(4, 1, 2.0, 16.0, Branch.NEGATIVE)
     assert root.alpha == 0.0
