@@ -45,8 +45,8 @@ def test_trace_norm_witness_n3():
 
 @pytest.mark.parametrize("log_ratio", [-2e-9, -1e-6, -1e-3, -0.3, -5.0, -230.0])
 def test_trace_norm_iterations_steady(log_ratio):
-    # the concave equation's bracket is tight at every distance from the
-    # all-equal point: a few steps each, where bisection once took 20 more
+    # the bracket from F's concavity is tight at every distance from the
+    # all-equal point, so each solve takes a few steps
     for n in (2, 3, 7, 64, 512):
         s = 1.1
         p = math.exp(n * math.log(s) + log_ratio)
