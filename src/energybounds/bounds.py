@@ -26,6 +26,7 @@ from .core import (
     REL_TOL,
     PowerSumConstraints,
     TraceNormConstraints,
+    _exact_ratio_gap,
     log_hyperfactorial,
 )
 from .rootfind import (
@@ -35,7 +36,7 @@ from .rootfind import (
     branch_exists,
     solve_powersum_alpha,
     solve_trace_norm_alpha,
-    _bisect_newton,
+    _newton,
 )
 
 _ENERGY_FORMULAS = frozenset(
@@ -247,7 +248,7 @@ def energy_max_power(ps: PowerSumConstraints, tol: float = RESIDUAL_TOL) -> Boun
         )
     root = solve_powersum_alpha(nc, 1, ps.r, ps.s1, ps.sr, Branch.NEGATIVE, tol)
     value = ps.s1**2 / nc * (ps.n * (nc - 1) * root.alpha**2 + (ps.n - nc))
-    diagnostics["ratio_reduced"] = ps.ratio_for(nc)
+    diagnostics["ratio_reduced"] = nc + _exact_ratio_gap(nc, ps.r, ps.s1, ps.sr)
     return BoundReport(
         value, Formula.THM_ONE_MAX_E, alpha=root, inputs=inputs, diagnostics=diagnostics
     )
@@ -363,7 +364,7 @@ def siegel_constants() -> SiegelConstants:
             - math.log(t) / (1.0 + t) ** 2
         )
 
-    theta, residual, _ = _bisect_newton(f, fp, 0.05, 0.95, 1e-14)
+    theta, residual, _ = _newton(f, fp, 0.05, 1e-14, 0.05, 0.95)
     lambda0 = math.e * (1.0 + 1.0 / theta) ** (-theta)
     return SiegelConstants(
         theta=theta,

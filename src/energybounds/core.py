@@ -242,20 +242,18 @@ class PowerSumConstraints:
         return self._ntilde.k_star
 
     @property
-    def ratio(self) -> float:
-        """n^r * S_r / S_1^r, the scale-free form of the constraint."""
-        return self.ratio_for(self.n)
-
-    def ratio_for(self, m: int) -> float:
-        """m^r * S_r / S_1^r: the ratio seen by m points carrying all of S_1."""
-        return math.exp(
-            self.r * (math.log(m) - math.log(self.s1)) + math.log(self.sr)
-        )
-
-    @property
     def all_equal(self) -> bool:
         """True when the constraints force x_i = S_1 / n for every i."""
-        return abs(self.ratio - self.n) <= REL_TOL * self.n
+        return abs(_exact_ratio_gap(self.n, self.r, self.s1, self.sr)) <= REL_TOL * self.n
+
+
+def _exact_ratio_gap(m: int, r: int, s1: float, sr: float) -> float:
+    """m^r S_r / S_1^r - m, from the float inputs in exact integers and rounded once:
+    the scale-free ratio of m points carrying all of S_1, less its all-equal value."""
+    a, b = s1.as_integer_ratio()
+    c, d = sr.as_integer_ratio()
+    den = d * a**r
+    return (c * (m * b) ** r - m * den) / den
 
 
 @dataclass(frozen=True)

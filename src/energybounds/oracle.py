@@ -25,7 +25,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import REL_TOL, PowerSumConstraints, SearchFailedError, TraceNormConstraints
+from .core import (
+    REL_TOL,
+    PowerSumConstraints,
+    SearchFailedError,
+    TraceNormConstraints,
+    _exact_ratio_gap,
+)
 from .rootfind import (
     Branch,
     branch_exists,
@@ -105,15 +111,15 @@ def extrema_two_value(ps: PowerSumConstraints) -> TwoValueExtrema:
                 CriticalConfig(1, s1, 0.0, j, (n - 1) * s1**2, ConfigKind.BOUNDARY)
             )
             continue
-        ratio_m = ps.ratio_for(m)
-        if ratio_m <= m * (1.0 + REL_TOL):
-            if ratio_m >= m * (1.0 - REL_TOL):
+        gap = _exact_ratio_gap(m, r, s1, ps.sr)
+        if gap <= REL_TOL * m:
+            if gap >= -REL_TOL * m:
                 # the m remaining entries are forced equal (ntilde == m)
                 e = _lift(0.0, j, n, m, s1)
                 cands.append(CriticalConfig(m, s1 / m, 0.0, j, e, kind))
             continue
         for k in range(1, m):
-            exists = branch_exists(m, k, r, ratio_m)
+            exists = branch_exists(m, k, r, m + gap)
             for branch, present in (
                 (Branch.NEGATIVE, exists.negative),
                 (Branch.POSITIVE, exists.positive),

@@ -10,8 +10,9 @@ the remaining constraint pins alpha inside (-k/(n-k), 1):
   * fixed product (trace/norm):  (1 + alpha*m)^k (1 - alpha)^(n-k) = p / s^n,
   * fixed power sum S_r:  k (1 + alpha*m)^r + (n-k)(1 - alpha)^r = n^r S_r / S_1^r.
 
-Both admit at most one root on each side of alpha = 0.  The solvers bracket
-it, the trace/norm one in the log of the smaller value, and polish with Newton.
+Both admit at most one root on each side of alpha = 0.  Each solver runs one
+Newton iteration, :func:`_newton`, from a start beyond that root; the
+trace/norm one solves in the log of the smaller value.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .core import REL_TOL, FeasibilityError
+from .core import REL_TOL, FeasibilityError, _exact_ratio_gap
 
 #: Default relative residual target for the polished root.
 RESIDUAL_TOL = 1e-10
 
-#: The power-sum bracket's negative end stays this far inside the interval.
+#: The power-sum search's negative end stays this far inside the interval.
 _EDGE = 1e-14
 
 _MAX_ITER = 80
@@ -85,7 +86,6 @@ def branch_exists(n: int, k: int, r: int, ratio: float, tol: float = REL_TOL) ->
             "n <= ratio <= n^r",
             f"scale-free ratio {ratio} outside [n, n^r] for n={n}, r={r}",
         )
-    # ratio = n^r Sr / S1^r  =>  ntilde = n / ratio^(1/(r-1)) * n^... ; solve in logs.
     log_nt = (r * math.log(n) - math.log(max(ratio, n))) / (r - 1)
     nt = min(max(math.exp(log_nt), 1.0), float(n))
     neg = k > n - nt - tol * n
@@ -109,12 +109,13 @@ def solve_trace_norm_alpha(
 
         F(t) = j t + (n-j) log1p(-q expm1(t)) = log(p / s^n),   t < 0,
 
-    with F increasing and concave; alpha = expm1(t)/m on the negative branch
-    and -expm1(t) on the positive one.  Near the all-equal point the right
-    side is log1p(-gap) with the gap 1 - p/s^n formed exactly from the float
-    inputs and rounded once: there t^2 is proportional to the gap, and reading
-    the gap off two nearly equal logarithms would cost most of its digits.
-    ``residual`` is still that of the product equation.
+    with F increasing and concave, by Newton's method from an upper bound of
+    the root; alpha = expm1(t)/m on the negative branch and -expm1(t) on the
+    positive one.  Near the all-equal point the right side is log1p(-gap) with
+    the gap 1 - p/s^n formed exactly from the float inputs and rounded once:
+    there t^2 is proportional to the gap, and reading the gap off two nearly
+    equal logarithms would cost most of its digits.  ``residual`` is still
+    that of the product equation.
     """
     _check_nk(n, k)
     if not (s > 0.0 and p > 0.0):
@@ -137,17 +138,12 @@ def solve_trace_norm_alpha(
         return -n * q * em / (1.0 - q * em)
 
     # f(hi) >= 0 as F >= j t and F >= -nq t^2/2 (F(0) = F'(0) = 0, F'' >= -nq).  F is
-    # concave: Newton from hi stays below the root, and F' >= F'(hi) below hi bounds it
+    # concave: the first Newton step from hi lands below the root, later ones rise to it
     hi = min(log_target / j, -math.sqrt(-2.0 * log_target / (n * q)))
-    lo = hi
-    for _ in range(3):
-        lo -= f(lo) / fp(lo)
-    hi = max(lo, lo - f(lo) / fp(hi))
-    pad = 1e-12 * (1.0 - lo)  # against rounding
-    t, res, iters = _bisect_newton(f, fp, lo - pad, hi + pad, tol)
+    t, res, iters = _newton(f, fp, hi, tol, -math.inf, hi)
     alpha = math.expm1(t) / (n / k - 1.0) if branch is Branch.NEGATIVE else -math.expm1(t)
     # the product side minus p/s^n, i.e. (p/s^n) * (exp(log residual) - 1)
-    return AlphaRoot(alpha, branch, k, math.exp(log_target) * math.expm1(res), iters + 3)
+    return AlphaRoot(alpha, branch, k, math.exp(log_target) * math.expm1(res), iters)
 
 
 def _exact_gap(n: int, s: float, p: float) -> float:
@@ -210,16 +206,15 @@ def solve_powersum_alpha(
     end = -k / (n - k) * (1.0 - _EDGE) if branch is Branch.NEGATIVE else 1.0
     if g(end) <= 0.0:
         return AlphaRoot(end, branch, k, g(end), 0, True)
-    alpha, res, iters = _bisect_newton(g, gp, min(end, 0.0), max(end, 0.0), tol * max(1.0, ratio))
+    # start from the tighter of alpha^2 = gap / c_2, which may fall short of the
+    # root, and the one-term bound, which drops a nonnegative term and lies beyond it
+    quad = math.sqrt(gap / coeffs[-1])
+    if branch is Branch.NEGATIVE:
+        a0 = max(-quad, 1.0 - (ratio / (n - k)) ** (1.0 / r), end)
+    else:
+        a0 = min(quad, ((ratio / k) ** (1.0 / r) - 1.0) / m, end)
+    alpha, res, iters = _newton(g, gp, a0, tol * max(1.0, ratio), min(end, 0.0), max(end, 0.0))
     return AlphaRoot(alpha, branch, k, res, iters)
-
-
-def _exact_ratio_gap(n: int, r: int, s1: float, sr: float) -> float:
-    """n^r S_r / S_1^r - n for the float inputs, in exact integers, rounded once."""
-    a, b = s1.as_integer_ratio()
-    c, d = sr.as_integer_ratio()
-    den = d * a**r
-    return (c * (n * b) ** r - n * den) / den
 
 
 def _check_nk(n: int, k: int) -> None:
@@ -229,67 +224,37 @@ def _check_nk(n: int, k: int) -> None:
         raise ValueError(f"k must be an integer in [1, n-1], got {k}")
 
 
-def _bisect_newton(
-    f: Callable[[float], float], fp: Callable[[float], float], lo: float, hi: float, ftol: float
+def _newton(
+    f: Callable[[float], float],
+    fp: Callable[[float], float],
+    x0: float,
+    ftol: float,
+    lo: float,
+    hi: float,
 ) -> tuple[float, float, int]:
-    """Hybrid bracketed solver: bisect to width 1e-6, then Newton with the
-    bracket as a safeguard.  Returns (root, residual, iterations).
+    """Newton's method from x0, each step clamped to [lo, hi], which holds the
+    root.  Returns (root, residual, evaluations of f).
 
-    Assumes f(lo) and f(hi) have opposite (or zero) signs.  Newton steps that
-    leave the bracket fall back to bisection, so convergence is guaranteed;
-    iteration stops when the residual target is met and the step has
-    collapsed, when a Newton step rounds to no move, or after 80 evaluations.
+    f is monotone and convex or concave on [lo, hi]: the power-sum g is convex,
+    the trace/norm f concave from hi (f >= 0), Siegel's f concave from 0.05
+    (f < 0).  Where f and f'' share a sign (Fourier's condition), every step
+    stays on that side of the root and moves toward it; one step from the
+    other side lands there.  So a step after the first that turns back, or
+    rounds to no move, is rounding, and the iteration stops.  It also stops
+    once |f| <= ftol after a step within 4 ulp of max(|x|, 1), or after 80
+    evaluations.
     """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo, 0.0, 0
-    if fhi == 0.0:
-        return hi, 0.0, 0
-    if flo * fhi > 0.0:
-        raise ArithmeticError(
-            f"root not bracketed: f({lo})={flo}, f({hi})={fhi}"
-        )
-    iters = 0
-    while hi - lo > 1e-6 and iters < _MAX_ITER:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        iters += 1
-        if fmid == 0.0:
-            return mid, 0.0, iters
-        if flo * fmid < 0.0:
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-    x = 0.5 * (lo + hi)
-    fx = f(x)
-    iters += 1
-    if fx == 0.0:
-        return x, 0.0, iters
-    # fold the midpoint into the bracket, so the Newton safeguard below
-    # always has a fresh point to bisect to (never the current iterate)
-    if flo * fx < 0.0:
-        hi, fhi = x, fx
-    else:
-        lo, flo = x, fx
-    while iters < _MAX_ITER:
-        d = fp(x)
-        x_new = x - fx / d if d != 0.0 else math.nan
-        # a Newton step that rounds to no move has converged; test it before
-        # the safeguard, which would replace it by a bisection step
-        if x_new == x:
+    x, fx = x0, f(x0)
+    iters, last = 1, 0.0
+    while fx != 0.0 and iters < _MAX_ITER:
+        x_new = min(max(x - fx / fp(x), lo), hi)
+        step = x_new - x
+        if step == 0.0 or step * last < 0.0:
             break
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)  # safeguard: fall back to bisection
-        fx_new = f(x_new)
+        if iters > 1:  # the first step may cross the root; later ones set the direction
+            last = step
+        x, fx = x_new, f(x_new)
         iters += 1
-        if fx_new == 0.0:
-            return x_new, 0.0, iters
-        if flo * fx_new < 0.0:
-            hi, fhi = x_new, fx_new
-        else:
-            lo, flo = x_new, fx_new
-        converged = abs(fx_new) <= ftol and abs(x_new - x) <= 4.0 * math.ulp(max(abs(x_new), 1.0))
-        x, fx = x_new, fx_new
-        if converged:
+        if abs(fx) <= ftol and abs(step) <= 4.0 * math.ulp(max(abs(x), 1.0)):
             break
     return x, fx, iters

@@ -18,6 +18,7 @@ from energybounds import (
     power_sum,
     power_sums_from_coeffs,
 )
+from energybounds.core import _exact_ratio_gap
 
 finite_entries = st.lists(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -121,9 +122,11 @@ def test_power_sum_constraints_reject_r_equal_two():
 
 
 def test_power_sum_constraints_ratio():
+    # the gap m^r S_r / S_1^r - m is formed exactly from the float inputs
     ps = PowerSumConstraints(n=3, r=3, s1=3.0, sr=9.0)
-    assert ps.ratio == pytest.approx(9.0, rel=1e-12)
-    assert ps.ratio_for(2) == pytest.approx(8.0 / 3.0, rel=1e-12)
+    assert _exact_ratio_gap(3, 3, 3.0, 9.0) == 6.0
+    assert _exact_ratio_gap(2, 3, 3.0, 9.0) == 2.0 / 3.0
+    assert _exact_ratio_gap(3, 3, 3.0, 3.0) == 0.0
     assert not ps.all_equal
     assert PowerSumConstraints(n=3, r=3, s1=3.0, sr=3.0).all_equal
 

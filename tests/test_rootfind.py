@@ -45,8 +45,9 @@ def test_trace_norm_witness_n3():
 
 @pytest.mark.parametrize("log_ratio", [-2e-9, -1e-6, -1e-3, -0.3, -5.0, -230.0])
 def test_trace_norm_iterations_steady(log_ratio):
-    # the bracket from F's concavity is tight at every distance from the
-    # all-equal point, so each solve takes a few steps
+    # Newton from the outer estimate hi = min(L/j, -sqrt(2|L|/(nq))) crosses the
+    # root once and then rises to it, so each solve takes a few steps at every
+    # distance from the all-equal point
     for n in (2, 3, 7, 64, 512):
         s = 1.1
         p = math.exp(n * math.log(s) + log_ratio)
@@ -55,6 +56,24 @@ def test_trace_norm_iterations_steady(log_ratio):
                 root = solve_trace_norm_alpha(n, k, s, p, branch)
                 assert root.iterations <= 6
                 assert abs(root.residual) <= 1e-10 * p / s**n
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 7])
+def test_powersum_iterations_steady(r):
+    # Newton from the tighter of sqrt(gap/c2) and the one-term bound takes a
+    # few steps from the all-equal end to the single-point end
+    for n in (2, 3, 5, 8, 64, 512):
+        for u in (1e-6, 1e-3, 0.02, 0.25, 0.5, 0.75, 0.98, 1.0 - 1e-6):
+            ratio = math.exp(math.log(n) + u * (r - 1) * math.log(n))
+            for k in sorted({1, n // 2, n - 1}):
+                exists = branch_exists(n, k, r, ratio)
+                for branch, present in ((Branch.NEGATIVE, exists.negative),
+                                        (Branch.POSITIVE, exists.positive)):
+                    if not present:
+                        continue
+                    root = solve_powersum_alpha(n, k, r, n, ratio, branch)
+                    assert root.iterations <= 8
+                    assert abs(root.residual) <= 1e-10 * max(1.0, ratio)
 
 
 def test_trace_norm_all_equal_limit():
