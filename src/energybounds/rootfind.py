@@ -239,10 +239,10 @@ def _newton(
     the trace/norm f concave from hi (f >= 0), Siegel's f concave from 0.05
     (f < 0).  Where f and f'' share a sign (Fourier's condition), every step
     stays on that side of the root and moves toward it; one step from the
-    other side lands there.  So a step after the first that turns back, or
-    rounds to no move, is rounding, and the iteration stops.  It also stops
-    once |f| <= ftol after a step within 4 ulp of max(|x|, 1), or after 80
-    evaluations.
+    other side lands there.  So once the second step has set the direction,
+    a step that turns back, or rounds to no move, is rounding: the iteration
+    stops.  It also stops once |f| <= ftol after a step within 4 ulp of
+    max(|x|, 1), or after 80 evaluations.
     """
     x, fx = x0, f(x0)
     iters, last = 1, 0.0
