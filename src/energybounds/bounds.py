@@ -67,7 +67,6 @@ class BoundReport:
     value: float
     formula: Formula
     alpha: AlphaRoot | None = None
-    inputs: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -130,12 +129,7 @@ def energy_min_trace_norm(tn: TraceNormConstraints, tol: float = RESIDUAL_TOL) -
     """
     root = solve_trace_norm_alpha(tn.n, 1, tn.s, tn.p, Branch.NEGATIVE, tol)
     value = (tn.n - 1) * (tn.n * tn.s) ** 2 * root.alpha**2
-    return BoundReport(
-        value,
-        Formula.PROP_ONE_MIN,
-        alpha=root,
-        inputs={"n": tn.n, "s": tn.s, "p": tn.p},
-    )
+    return BoundReport(value, Formula.PROP_ONE_MIN, alpha=root)
 
 
 def reverse_amgm(n: int, s: float, energy: float) -> BoundReport:
@@ -165,12 +159,7 @@ def reverse_amgm(n: int, s: float, energy: float) -> BoundReport:
     beta = -math.sqrt(energy / ((n - 1) * (n * s) ** 2))
     root = AlphaRoot(beta, Branch.NEGATIVE, 1, 0.0, 0)
     value = 1.0 / ((1.0 + beta * (n - 1)) * (1.0 - beta) ** (n - 1))
-    return BoundReport(
-        value,
-        Formula.COR_ONE_REVERSE,
-        alpha=root,
-        inputs={"n": n, "s": s, "energy": energy},
-    )
+    return BoundReport(value, Formula.COR_ONE_REVERSE, alpha=root)
 
 
 def energy_min_power(ps: PowerSumConstraints, tol: float = RESIDUAL_TOL) -> BoundReport:
@@ -187,7 +176,6 @@ def energy_min_power(ps: PowerSumConstraints, tol: float = RESIDUAL_TOL) -> Boun
         value,
         Formula.THM_ONE_MIN,
         alpha=root,
-        inputs={"n": ps.n, "r": ps.r, "s1": ps.s1, "sr": ps.sr},
         diagnostics={"ntilde": ps.ntilde},
     )
 
@@ -218,12 +206,7 @@ def power_sum_upper(n: int, r: int, s1: float, energy: float) -> BoundReport:
     factor = (1.0 + beta * (n - 1)) ** r + (n - 1) * (1.0 - beta) ** r
     value = math.exp(math.log(factor) + r * (math.log(s1) - math.log(n)))
     root = AlphaRoot(beta, Branch.POSITIVE, 1, 0.0, 0)
-    return BoundReport(
-        value,
-        Formula.THM_ONE_CONVERSE,
-        alpha=root,
-        inputs={"n": n, "r": r, "s1": s1, "energy": energy},
-    )
+    return BoundReport(value, Formula.THM_ONE_CONVERSE, alpha=root)
 
 
 def energy_max_power(ps: PowerSumConstraints, tol: float = RESIDUAL_TOL) -> BoundReport:
@@ -240,18 +223,13 @@ def energy_max_power(ps: PowerSumConstraints, tol: float = RESIDUAL_TOL) -> Boun
     """
     nc = ps.ntilde_ceil
     diagnostics = {"ntilde": ps.ntilde, "ntilde_ceil": nc, "k_star": ps.k_star}
-    inputs = {"n": ps.n, "r": ps.r, "s1": ps.s1, "sr": ps.sr}
     if nc == 1:
         value = (ps.n - 1) * ps.s1**2
-        return BoundReport(
-            value, Formula.THM_ONE_MAX_E, inputs=inputs, diagnostics=diagnostics
-        )
+        return BoundReport(value, Formula.THM_ONE_MAX_E, diagnostics=diagnostics)
     root = solve_powersum_alpha(nc, 1, ps.r, ps.s1, ps.sr, Branch.NEGATIVE, tol)
     value = ps.s1**2 / nc * (ps.n * (nc - 1) * root.alpha**2 + (ps.n - nc))
     diagnostics["ratio_reduced"] = nc + _exact_ratio_gap(nc, ps.r, ps.s1, ps.sr)
-    return BoundReport(
-        value, Formula.THM_ONE_MAX_E, alpha=root, inputs=inputs, diagnostics=diagnostics
-    )
+    return BoundReport(value, Formula.THM_ONE_MAX_E, alpha=root, diagnostics=diagnostics)
 
 
 def uv_values(n: int, k: int, r: int, ratio: float, tol: float = RESIDUAL_TOL) -> UVValues:
@@ -298,12 +276,7 @@ def energy_lower_from_disc(
     diagnostics: dict = {"binom": c}
     if s1 is not None and s2 is not None:
         diagnostics["hypothesis_holds"] = (n - 1) * s2 < s1**2 < n * s2
-    return BoundReport(
-        value,
-        Formula.THM_TWO_DISC,
-        inputs={"n": n, "delta": float(delta)},
-        diagnostics=diagnostics,
-    )
+    return BoundReport(value, Formula.THM_TWO_DISC, diagnostics=diagnostics)
 
 
 def potential_lower_from_disc(
@@ -333,10 +306,6 @@ def potential_lower_from_disc(
     return BoundReport(
         value,
         Formula.THM_ONE_SEVEN_POTENTIAL,
-        inputs={
-            "a": spec.a, "b": spec.b, "c": spec.c, "d": spec.d,
-            "n": n, "s1": s1, "delta": float(delta),
-        },
         diagnostics={"disc_term": disc_term},
     )
 

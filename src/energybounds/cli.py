@@ -338,7 +338,7 @@ def _run_bound(args) -> tuple[dict, dict]:
     else:
         spec = PotentialSpec(args.a, args.b, args.c, args.d)
         report = potential_lower_from_disc(spec, args.n, args.s1, args.delta)
-    return _fields(report, skip=("inputs", "diagnostics")), {**report.diagnostics, **tol}
+    return _fields(report, skip=("diagnostics",)), {**report.diagnostics, **tol}
 
 
 def _run_oracle(args) -> tuple[dict, dict]:

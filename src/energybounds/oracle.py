@@ -161,7 +161,7 @@ def extrema_search(
     support restores S_1, a rescale toward the mean restores S_r, to
     joint relative tolerance 1e-11.  When the constraints force every
     entry to S_1 / n the manifold is that one point: (0, 0, ()) at once.
-    Failed rows are reseeded, then excluded and reported;
+    Rows whose start fails to project are excluded and reported;
     SearchFailedError if a direction has none left, ValueError unless
     restarts >= 1 and max_iters >= 0.
     """
@@ -171,10 +171,8 @@ def extrema_search(
     n, r, s1, sr = ps.n, ps.r, ps.s1, ps.sr
     strata = n - ps.ntilde_ceil + 1
 
-    def start(row: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence([seed, row, attempt]))
-        )
+    def start(row: int) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, row, 0])))
         size = n - (row % restarts) % strata
         support = np.arange(n) if size == n else rng.permutation(n)[:size]
         x = np.zeros(n)
@@ -186,7 +184,6 @@ def extrema_search(
     return SearchExtrema(
         *_descend(
             n, s1, restarts, max_iters, start,
-            reseeds=9,
             floor=0.0,
             project=lambda X, free: _project(X, free, s1, sr, phi, top, 0.0),
             # a coordinate shrinks by at most 1000x per step, so rows stay
@@ -232,14 +229,13 @@ def extrema_trace_norm(
             cands.append(CriticalConfig(k, x, y, 0, mk * a**2 * s1**2, ConfigKind.INTERIOR))
     values = [c.E for c in cands]
 
-    def start(row: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
+    def start(row: int) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, row])))
         vals = rng.random(n) + 0.05
         return np.log(vals / vals.sum() * s1), np.ones(n, dtype=bool)
 
     smin, smax, failed = _descend(
         n, s1, restarts, max_iters, start,
-        reseeds=0,
         floor=-math.inf,
         project=lambda U, free: _project(U, free, logp, s1, _exp, math.log(s1), -math.inf),
         move=_log_step,
@@ -289,9 +285,8 @@ def _descend(
     s1: float,
     restarts: int,
     max_iters: int,
-    start: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+    start: Callable[[int], tuple[np.ndarray, np.ndarray]],
     *,
-    reseeds: int,
     floor: float,
     project: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     move: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
@@ -301,8 +296,8 @@ def _descend(
 
     Rows hold x (projector ``floor`` 0) or u = log x (``floor`` -inf).
     Rows below ``restarts`` minimize E, the rest maximize it.
-    ``start(row, attempt)`` gives a row and its support; rows that
-    ``project(rows, free)`` fails on start again, up to ``reseeds`` times.
+    ``start(row)`` gives a row and its support; rows that
+    ``project(rows, free)`` fails on are reported as failed.
     Steps are taken in x, along the energy gradient less its components
     along the ones vector and ``weight(rows)`` (a positive multiple of the
     second constraint's x-gradient); ``move(rows, x, step)`` gives the
@@ -313,17 +308,11 @@ def _descend(
     S = np.zeros((rows, n))
     free = np.zeros((rows, n), dtype=bool)
     for row in range(rows):
-        S[row], free[row] = start(row, 0)
+        S[row], free[row] = start(row)
     # direction +1 minimizes E, -1 maximizes
     direction = np.where(np.arange(rows) < restarts, 1.0, -1.0)
 
     S, ok = project(S, free)
-    for attempt in range(1, reseeds + 1):
-        if ok.all():
-            break
-        for row in np.flatnonzero(~ok):
-            S[row], free[row] = start(row, attempt)
-        S, ok = project(S, free)
     failed = ~ok
     best = np.where(ok, direction * _row_energy(to_x(S), n), np.inf)
 
@@ -443,38 +432,35 @@ def _scale_root(
     the rowwise sums of d phi'(v); ``top`` is phi's inverse at ``target``.
     h(t) = sum_live phi(mean + t D) - target is convex and nondecreasing on
     t >= 0 (D sums to 0 and is ordered like phi'); rows with h(0) > 0 have
-    no root: NaN.  Bracketed Newton starts at t = 1, the caller's own
-    point, in [0, hi], where the most-growing coordinate alone reaches
-    ``top``; notes/decisions.md has why it converges and when it stops.
-    Rows with D = 0 never move.  The rows come back unclipped.
+    no root: NaN.  D must be 0 off ``live``.  Newton starts at t = 1, the
+    caller's own point, each step clamped to [0, hi], where the
+    most-growing coordinate alone reaches ``top``.  Only the first step may
+    move right; notes/decisions.md has why that needs no bracket and when it
+    stops.  Rows with D = 0 never move.  The rows come back unclipped.
     """
-    # coordinates off the live support are zeroed: 0 + t*0 = 0 and
-    # max(0, 0)^r = 0 drop them from every sum without a mask in the loop.
-    # exp(0) = 1 would not, but the exp family keeps every coordinate live.
+    # off ``live`` base and D are 0, and max(0, 0)^r = 0 drops those coordinates
+    # from every sum; exp(0) = 1 would not, but exp rows are live throughout
     base = np.where(live, mean, 0.0)
-    dm = np.where(live, D, 0.0)
     unsolvable = phi(base)[0].sum(axis=1) - target > _PROJ_TOL * target
-    dmax = dm.max(axis=1)
+    dmax = D.max(axis=1)
     hi = np.maximum((top - mean[:, 0]) / np.maximum(dmax, 1e-300), 0.0)
-    lo = np.zeros_like(hi)
     done = unsolvable | (dmax <= 0.0)
     t = np.minimum(hi, 1.0)
-    for _ in range(_NEWTON_PASSES):
-        vals, slope = phi(base + t[:, None] * dm, dm)
+    for passes in range(_NEWTON_PASSES):
+        vals, slope = phi(base + t[:, None] * D, D)
         sums = vals.sum(axis=1)
         h = sums - target
         scale = np.maximum(t, 1.0)  # t >= 0 throughout
         # h's rounding error: that of the sums, or h' times that of t
         noise = _EPS4 * np.maximum(sums + target, slope * scale)
-        lo = np.where(h < 0.0, t, lo)
-        hi = np.where(h > 0.0, t, hi)
-        step = t - h / np.where(slope > 0.0, slope, np.nan)
-        newton = (step > lo) & (step < hi)
-        done |= np.abs(h) <= noise
-        # a step to or past hi (only ever from h < 0) goes to hi, where h >= 0
-        step = np.where(done, t, np.where(newton, step, np.where(step >= hi, hi, 0.5 * (lo + hi))))
-        done |= newton & (np.abs(step - t) <= 1e-9 * scale)
+        # a slope of 0 gives a step of 0; a step past hi, where h >= 0, goes to hi
+        newton = t - h / np.where(slope > 0.0, slope, np.inf)
+        step = np.clip(newton, 0.0, hi)
+        # only the first step may move right: a later one is a turn-back, rounding
+        done |= (np.abs(h) <= noise) | (step == t) | ((passes > 0) & (step > t))
+        step = np.where(done, t, step)
+        done |= (step == newton) & (np.abs(step - t) <= 1e-9 * scale)
         t = step
         if done.all():
             break
-    return np.where(unsolvable[:, None], np.nan, base + t[:, None] * dm)
+    return np.where(unsolvable[:, None], np.nan, base + t[:, None] * D)

@@ -130,13 +130,17 @@ def root_census(poly: IntPolynomial | Sequence[int]) -> tuple[int, int, int]:
 
 
 def certified_roots(poly: IntPolynomial) -> RootClassification:
-    """Classify the roots; for the all-real-distinct case return them all.
+    """Classify the roots of a monic polynomial (ValueError otherwise); if
+    all are real and distinct, return them all.
 
     Realness and multiplicity decisions are exact, from one Sturm chain
     (its last member is the gcd with the derivative, as in ``root_census``);
     roots are then isolated by interval bisection on exact rational
-    endpoints to width 1e-12 and Newton-polished in floats.
+    endpoints, none of them a root, to width 1e-12 and Newton-polished in
+    floats.
     """
+    if not poly.is_monic:
+        raise ValueError("polynomial must be monic")
     coeffs = poly.coeffs
     n = poly.degree
     chain = sturm_chain(coeffs)
@@ -145,42 +149,20 @@ def certified_roots(poly: IntPolynomial) -> RootClassification:
     total = _variations_inf(chain, False) - _variations_inf(chain, True)
     if total < n:
         return RootClassification(RootKind.NOT_ALL_REAL)
-    bound = Fraction(1 + max(abs(c) for c in coeffs) // abs(coeffs[0]) + 1)
+    bound = max(abs(c) for c in coeffs) + 2  # Cauchy: every root is in (-bound, bound)
+    # a monic polynomial's rational roots are integers, and no point
+    # -bound - 1/3 + (2 bound + 1) j / 2^i is one: over 3 * 2^i its numerator
+    # is -2^i mod 3.  So no interval end below is a root.
+    a, b = Fraction(-3 * bound - 1, 3), Fraction(3 * bound + 2, 3)
     roots: list[float] = []
-    stack = [(-bound, bound, _variations_at(chain, -bound), _variations_at(chain, bound))]
+    stack = [(a, b, _variations_at(chain, a), _variations_at(chain, b))]
     while stack:
         a, b, va, vb = stack.pop()
         count = va - vb
-        if count == 0:
-            continue
         if count == 1:
             roots.append(_refine_root(coeffs, a, b))
-            continue
-        mid = (a + b) / 2
-        if _horner(coeffs, mid) == 0:
-            roots.append(float(mid))
-            # shave the exact root off the left half: find a point below it
-            # but above every other root in (a, mid)
-            delta = (b - a) / 4
-            while (
-                _horner(coeffs, mid - delta) == 0
-                or _variations_at(chain, mid - delta) - _variations_at(chain, mid) != 1
-            ):
-                delta /= 2
-            left_hi = mid - delta
-            stack.append((a, left_hi, va, _variations_at(chain, left_hi)))
-            # likewise on the right: step past the exact root without
-            # skipping any neighbour
-            v_mid = _variations_at(chain, mid)
-            delta = (b - mid) / 2
-            while (
-                _horner(coeffs, mid + delta) == 0
-                or v_mid - _variations_at(chain, mid + delta) != 0
-            ):
-                delta /= 2
-            right_lo = mid + delta
-            stack.append((right_lo, b, _variations_at(chain, right_lo), vb))
-        else:
+        elif count > 1:
+            mid = (a + b) / 2
             vm = _variations_at(chain, mid)
             stack.append((a, mid, va, vm))
             stack.append((mid, b, vm, vb))
@@ -189,18 +171,12 @@ def certified_roots(poly: IntPolynomial) -> RootClassification:
 
 
 def _refine_root(coeffs: Sequence[int], a: Fraction, b: Fraction) -> float:
-    """Bisect (a, b] with exact signs to width 1e-12, then Newton-polish."""
-    fb = _horner(coeffs, b)
-    if fb == 0:
-        return float(b)
-    fa = _horner(coeffs, a)
-    sa = _sign(fa)
+    """Bisect (a, b], neither end a root, with exact signs to width 1e-12,
+    then Newton-polish."""
+    sa = _sign(_horner(coeffs, a))
     while b - a > Fraction(1, 10**12):
         mid = (a + b) / 2
-        fm = _horner(coeffs, mid)
-        if fm == 0:
-            return float(mid)
-        if _sign(fm) == sa:
+        if _sign(_horner(coeffs, mid)) == sa:
             a = mid
         else:
             b = mid

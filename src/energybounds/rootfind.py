@@ -114,8 +114,10 @@ def solve_trace_norm_alpha(
     positive one.  Near the all-equal point the right side is log1p(-gap) with
     the gap 1 - p/s^n formed exactly from the float inputs and rounded once:
     there t^2 is proportional to the gap, and reading the gap off two nearly
-    equal logarithms would cost most of its digits.  ``residual`` is still
-    that of the product equation.
+    equal logarithms would cost most of its digits.  For the same reason F is
+    evaluated as j psi(t) + (n-j) phi(-q expm1(t)), with psi(t) = t - expm1(t)
+    and phi(x) = log1p(x) - x each taken from its series where it would
+    cancel.  ``residual`` is still that of the product equation.
     """
     _check_nk(n, k)
     if not (s > 0.0 and p > 0.0):
@@ -131,7 +133,13 @@ def solve_trace_norm_alpha(
     q = j / (n - j)
 
     def f(t: float) -> float:
-        return j * t + (n - j) * math.log1p(-q * math.expm1(t)) - log_target
+        # F(t) = j psi(t) + (n-j) phi(-q u), as (n-j) q u = j u: the linear parts
+        # cancel in the algebra, not in floats
+        u = math.expm1(t)
+        x = -q * u
+        psi = _series(_PSI, t) if abs(t) < 0.5 else t - u
+        phi = _series(_PHI, x) if abs(x) < 0.1 else math.log1p(x) - x
+        return j * psi + (n - j) * phi - log_target
 
     def fp(t: float) -> float:
         em = math.expm1(t)
@@ -141,9 +149,24 @@ def solve_trace_norm_alpha(
     # concave: the first Newton step from hi lands below the root, later ones rise to it
     hi = min(log_target / j, -math.sqrt(-2.0 * log_target / (n * q)))
     t, res, iters = _newton(f, fp, hi, tol, -math.inf, hi)
-    alpha = math.expm1(t) / (n / k - 1.0) if branch is Branch.NEGATIVE else -math.expm1(t)
+    # m as (n-k)/k: n/k - 1 cancels for k near n, and m's error is alpha's
+    alpha = math.expm1(t) / ((n - k) / k) if branch is Branch.NEGATIVE else -math.expm1(t)
     # the product side minus p/s^n, i.e. (p/s^n) * (exp(log residual) - 1)
     return AlphaRoot(alpha, branch, k, math.exp(log_target) * math.expm1(res), iters)
+
+
+#: Taylor coefficients of psi(t) = t - expm1(t), t^20 down to t^2, and of
+#: phi(x) = log1p(x) - x, x^18 down to x^2
+_PSI = tuple(-1.0 / math.factorial(i) for i in range(20, 1, -1))
+_PHI = tuple((-1.0) ** (i + 1) / i for i in range(18, 1, -1))
+
+
+def _series(coeffs: tuple[float, ...], x: float) -> float:
+    """x^2 times the polynomial with ``coeffs`` (highest first) at x, by Horner."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + c
+    return x * x * acc
 
 
 def _exact_gap(n: int, s: float, p: float) -> float:

@@ -336,6 +336,30 @@ def test_scale_root_newton_passes_are_few(monkeypatch):
     assert max(passes) < oracle._NEWTON_PASSES
 
 
+def test_scale_root_double_root_stops_before_cap():
+    # mean 2 on 2 of 4 coordinates: h(t) = (2 - 1.5t)^5 + (2 + 1.5t)^5 - target
+    # has h'(0) = 0, and h(0) = 64e-13 > 0 by rounding of the target, so Newton
+    # halves t toward the double root at 0, linearly, until a step clamps to 0
+    target = 64.0 * (1.0 - 1e-13)
+    phi = functools.partial(oracle._power, r=5)
+    calls = []
+
+    def counted(v, d=None):
+        calls.append(1)
+        return phi(v, d)
+
+    row = oracle._scale_root(
+        np.full((1, 1), 2.0),
+        np.array([[-1.5, 1.5, 0.0, 0.0]]),
+        np.array([[True, True, False, False]]),
+        target,
+        counted,
+        target ** (1.0 / 5),
+    )
+    assert len(calls) < oracle._NEWTON_PASSES
+    assert row.tolist() == [[2.0, 2.0, 0.0, 0.0]]
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 @pytest.mark.parametrize(
     "s, p",

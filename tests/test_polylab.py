@@ -189,7 +189,8 @@ def test_certified_roots_distinct():
 
 
 def test_certified_roots_exact_hits():
-    # roots land exactly on bisection midpoints; the isolation must step around
+    # integer roots would be bisection midpoints of [-B, B]; the isolation
+    # grid on (-B - 1/3, B + 2/3] holds no integer, so no end is ever a root
     cls = certified_roots(IntPolynomial.from_roots([-2, 0, 2]))
     assert cls.kind is RootKind.ALL_REAL_DISTINCT
     assert cls.roots == pytest.approx((-2.0, 0.0, 2.0), abs=1e-9)
@@ -198,6 +199,8 @@ def test_certified_roots_exact_hits():
 def test_certified_roots_other_kinds():
     assert certified_roots(IntPolynomial((1, 0, 1))).kind is RootKind.NOT_ALL_REAL
     assert certified_roots(IntPolynomial((1, -2, 1))).kind is RootKind.REPEATED_ROOTS
+    with pytest.raises(ValueError, match="monic"):
+        certified_roots(IntPolynomial((3, -1)))
 
 
 def test_is_totally_positive():

@@ -58,6 +58,35 @@ def test_trace_norm_iterations_steady(log_ratio):
                 assert abs(root.residual) <= 1e-10 * p / s**n
 
 
+@pytest.mark.parametrize(
+    "n, k, branch, s, p, alpha",
+    [
+        # p = s^n (1 - g), g log-uniform in [1e-9, 0.3]; alpha to 20 digits from
+        # mpmath.findroot at 60 digits, on the float p and s
+        (2, 1, Branch.NEGATIVE, 0.37, 0.1368999300621496, -0.00071475041439451541795),
+        (2, 1, Branch.POSITIVE, 1000.0, 995627.2852141599, 0.066126505924932473176),
+        (3, 1, Branch.NEGATIVE, 1.0, 0.9999999989492772, -0.000018714608669748124344),
+        (3, 2, Branch.NEGATIVE, 2.0, 7.932876435457374, -0.10772151540615623568),
+        (5, 2, Branch.POSITIVE, 1000.0, 999425536491692.8, 0.012403622900603248904),
+        (5, 3, Branch.POSITIVE, 2.0, 31.99997166731439, 0.0007288017270716352213),
+        (8, 1, Branch.POSITIVE, 0.37, 0.0003507742254328792, 0.0070387253102893387421),
+        (8, 6, Branch.POSITIVE, 2.0, 255.99806767391047, 0.0023780545622460791242),
+        (16, 6, Branch.POSITIVE, 0.37, 1.2147805327690447e-07, 0.0343329877749968232),
+        (16, 7, Branch.POSITIVE, 1000.0, 9.99996205199816e+47, 0.00060743905536434336605),
+        (64, 52, Branch.POSITIVE, 0.37, 2.3169069116260657e-28, 0.00073964171418521208875),
+        (64, 17, Branch.POSITIVE, 1000.0, 9.409200363408811e+191, 0.026629823481781449816),
+        (128, 99, Branch.NEGATIVE, 0.37, 5.36769501202973e-56, -0.0020095681932052097573),
+        (128, 67, Branch.NEGATIVE, 0.37, 4.590137170113074e-56, -0.051884183694676367891),
+        (512, 118, Branch.NEGATIVE, 1.0, 0.9999877839351037, -0.00011953619206802851512),
+        (512, 343, Branch.POSITIVE, 2.0, 1.3407061795993679e+154, 0.00066415656998234371204),
+    ],
+)
+def test_trace_norm_near_equal_matches_mpmath(n, k, branch, s, p, alpha):
+    # near the all-equal point t^2 is proportional to the gap, so F must not
+    # cancel its linear parts in floats, or alpha loses up to five digits
+    assert solve_trace_norm_alpha(n, k, s, p, branch).alpha == pytest.approx(alpha, rel=1e-14, abs=0)
+
+
 @pytest.mark.parametrize("r", [3, 4, 5, 7])
 def test_powersum_iterations_steady(r):
     # Newton from the tighter of sqrt(gap/c2) and the one-term bound takes a
