@@ -30,7 +30,6 @@ from .core import (
     log_hyperfactorial,
 )
 from .rootfind import (
-    RESIDUAL_TOL,
     AlphaRoot,
     Branch,
     branch_exists,
@@ -121,13 +120,13 @@ class UVValues(NamedTuple):
     G: float | None
 
 
-def energy_min_trace_norm(tn: TraceNormConstraints, tol: float = RESIDUAL_TOL) -> BoundReport:
+def energy_min_trace_norm(tn: TraceNormConstraints) -> BoundReport:
     """Sharp lower bound (n-1)(ns)^2 alpha^2 for E at fixed trace ns, product p.
 
     alpha is the negative root of (1 + alpha(n-1))(1 - alpha)^(n-1) = p/s^n;
     the bound is attained by the two-value configuration with one small entry.
     """
-    root = solve_trace_norm_alpha(tn.n, 1, tn.s, tn.p, Branch.NEGATIVE, tol)
+    root = solve_trace_norm_alpha(tn.n, 1, tn.s, tn.p, Branch.NEGATIVE)
     value = (tn.n - 1) * (tn.n * tn.s) ** 2 * root.alpha**2
     return BoundReport(value, Formula.PROP_ONE_MIN, alpha=root)
 
@@ -162,7 +161,7 @@ def reverse_amgm(n: int, s: float, energy: float) -> BoundReport:
     return BoundReport(value, Formula.COR_ONE_REVERSE, alpha=root)
 
 
-def energy_min_power(ps: PowerSumConstraints, tol: float = RESIDUAL_TOL) -> BoundReport:
+def energy_min_power(ps: PowerSumConstraints) -> BoundReport:
     """Sharp lower bound (n-1) S_1^2 alpha^2 for E at fixed S_1 and S_r.
 
     alpha is the root in [0, 1] of
@@ -170,7 +169,7 @@ def energy_min_power(ps: PowerSumConstraints, tol: float = RESIDUAL_TOL) -> Boun
     the Hoelder-equality point (all entries equal) and 1 when S_r = S_1^r
     (single-point mass).
     """
-    root = solve_powersum_alpha(ps.n, 1, ps.r, ps.s1, ps.sr, Branch.POSITIVE, tol)
+    root = solve_powersum_alpha(ps.n, 1, ps.r, ps.s1, ps.sr, Branch.POSITIVE)
     value = (ps.n - 1) * ps.s1**2 * root.alpha**2
     return BoundReport(
         value,
@@ -209,7 +208,7 @@ def power_sum_upper(n: int, r: int, s1: float, energy: float) -> BoundReport:
     return BoundReport(value, Formula.THM_ONE_CONVERSE, alpha=root)
 
 
-def energy_max_power(ps: PowerSumConstraints, tol: float = RESIDUAL_TOL) -> BoundReport:
+def energy_max_power(ps: PowerSumConstraints) -> BoundReport:
     """Sharp upper bound for E at fixed S_1 and S_r.
 
     Write nc = ceil(ntilde).  The maximum is attained with n - nc zeros and a
@@ -226,13 +225,13 @@ def energy_max_power(ps: PowerSumConstraints, tol: float = RESIDUAL_TOL) -> Boun
     if nc == 1:
         value = (ps.n - 1) * ps.s1**2
         return BoundReport(value, Formula.THM_ONE_MAX_E, diagnostics=diagnostics)
-    root = solve_powersum_alpha(nc, 1, ps.r, ps.s1, ps.sr, Branch.NEGATIVE, tol)
+    root = solve_powersum_alpha(nc, 1, ps.r, ps.s1, ps.sr, Branch.NEGATIVE)
     value = ps.s1**2 / nc * (ps.n * (nc - 1) * root.alpha**2 + (ps.n - nc))
     diagnostics["ratio_reduced"] = nc + _exact_ratio_gap(nc, ps.r, ps.s1, ps.sr)
     return BoundReport(value, Formula.THM_ONE_MAX_E, alpha=root, diagnostics=diagnostics)
 
 
-def uv_values(n: int, k: int, r: int, ratio: float, tol: float = RESIDUAL_TOL) -> UVValues:
+def uv_values(n: int, k: int, r: int, ratio: float) -> UVValues:
     """U, V, F, G at (k, n) for the scale-free constraint ratio = n^r Sr/S1^r.
 
     Missing branches yield None in the corresponding slots.  These are the
@@ -243,11 +242,11 @@ def uv_values(n: int, k: int, r: int, ratio: float, tol: float = RESIDUAL_TOL) -
     m = n / k - 1.0
     u = v = f = g = None
     if exists.negative:
-        a1 = solve_powersum_alpha(n, k, r, n, ratio, Branch.NEGATIVE, tol)
+        a1 = solve_powersum_alpha(n, k, r, n, ratio, Branch.NEGATIVE)
         u = a1.alpha**2 * m
         g = (u + 1.0) / n
     if exists.positive:
-        a2 = solve_powersum_alpha(n, k, r, n, ratio, Branch.POSITIVE, tol)
+        a2 = solve_powersum_alpha(n, k, r, n, ratio, Branch.POSITIVE)
         v = a2.alpha**2 * m
         f = (v + 1.0) / n
     return UVValues(u, v, f, g)
@@ -333,7 +332,7 @@ def siegel_constants() -> SiegelConstants:
             - math.log(t) / (1.0 + t) ** 2
         )
 
-    theta, residual, _ = _newton(f, fp, 0.05, 1e-14, 0.05, 0.95)
+    theta, residual, _ = _newton(f, fp, 0.05, 0.05, 0.95)
     lambda0 = math.e * (1.0 + 1.0 / theta) ** (-theta)
     return SiegelConstants(
         theta=theta,

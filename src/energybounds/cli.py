@@ -9,9 +9,10 @@ Grammar (long flags only, no positionals)::
     energy-bounds corpus enumerate ...
     energy-bounds constants siegel
 
-Exit codes: 0 success, 1 usage error, 2 infeasible or hypothesis-violated
-input, 3 an oracle search that could not project onto the constraint
-manifold (for 2 and 3 a report naming the condition is still printed).
+Exit codes: 0 success, 1 usage error (also an input whose result lies past
+the float range), 2 infeasible or hypothesis-violated input, 3 an oracle
+search that could not project onto the constraint manifold (for 2 and 3 a
+report naming the condition is still printed).
 
 ``--json`` prints one object {op, inputs, result, diagnostics} with floats
 at 17 significant digits, so identical invocations are byte-identical.
@@ -61,7 +62,7 @@ from .polylab import (
     parse_poly_line,
     verify_theorem2,
 )
-from .rootfind import RESIDUAL_TOL, BranchMissingError
+from .rootfind import BranchMissingError
 
 _INFEASIBLE = (FeasibilityError, HypothesisViolationError, BranchMissingError)
 
@@ -172,15 +173,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 
-    def with_tol(p):
-        with_common(p).add_argument(
-            "--tol",
-            type=float,
-            default=RESIDUAL_TOL,
-            help="solver residual tolerance (echoed in diagnostics)",
-        )
-        return p
-
     def with_search(p):
         # declared first, so the echoed inputs lead with the search settings
         with_common(p).add_argument("--restarts", type=int, default=16)
@@ -192,18 +184,18 @@ def _build_parser() -> _Parser:
         dest="which", required=True
     )
 
-    p = with_tol(bound.add_parser("emin-tn", help="minimal energy, fixed trace+product"))
+    p = with_common(bound.add_parser("emin-tn", help="minimal energy, fixed trace+product"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=float, required=True, help="mean: trace is n*s")
     p.add_argument("--p", type=float, required=True, help="product of the n values")
 
-    p = with_tol(bound.add_parser("emin-power", help="minimal energy, fixed S1 and Sr"))
+    p = with_common(bound.add_parser("emin-power", help="minimal energy, fixed S1 and Sr"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s1", type=float, required=True)
     p.add_argument("--sr", type=float, required=True)
 
-    p = with_tol(bound.add_parser("emax-power", help="maximal energy, fixed S1 and Sr"))
+    p = with_common(bound.add_parser("emax-power", help="maximal energy, fixed S1 and Sr"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s1", type=float, required=True)
@@ -279,7 +271,6 @@ def _build_parser() -> _Parser:
     p = with_common(corpus.add_parser("enumerate", help="all members up to a degree"))
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--no-prune-maclaurin", dest="prune_maclaurin", action="store_false")
     p.add_argument("--no-prune-newton", dest="prune_newton", action="store_false")
     p.add_argument("--no-prune-sturm", dest="prune_sturm", action="store_false")
 
@@ -320,15 +311,14 @@ def _fixed_energy(n: int, s1: float, s2: float) -> float:
 
 def _run_bound(args) -> tuple[dict, dict]:
     which = args.which
-    tol = {"tol": args.tol} if "tol" in args else {}
     if which == "emin-tn":
-        report = energy_min_trace_norm(TraceNormConstraints(args.n, args.s, args.p), args.tol)
+        report = energy_min_trace_norm(TraceNormConstraints(args.n, args.s, args.p))
     elif which in ("emin-power", "emax-power"):
         if args.r == 2:
             value = _fixed_energy(args.n, args.s1, args.sr)
-            return {"value": value, "formula": "EnergyIdentity", "alpha": None}, tol
+            return {"value": value, "formula": "EnergyIdentity", "alpha": None}, {}
         solve = energy_min_power if which == "emin-power" else energy_max_power
-        report = solve(PowerSumConstraints(args.n, args.r, args.s1, args.sr), args.tol)
+        report = solve(PowerSumConstraints(args.n, args.r, args.s1, args.sr))
     elif which == "reverse-amgm":
         report = reverse_amgm(args.n, args.s, args.energy)
     elif which == "sr-upper":
@@ -338,7 +328,7 @@ def _run_bound(args) -> tuple[dict, dict]:
     else:
         spec = PotentialSpec(args.a, args.b, args.c, args.d)
         report = potential_lower_from_disc(spec, args.n, args.s1, args.delta)
-    return _fields(report, skip=("diagnostics",)), {**report.diagnostics, **tol}
+    return _fields(report, skip=("diagnostics",)), report.diagnostics
 
 
 def _run_oracle(args) -> tuple[dict, dict]:
@@ -426,7 +416,6 @@ def _run_corpus(args) -> tuple[dict, dict] | None:
     try:
         reports = enumerate_corpus(
             args.max_degree,
-            prune_maclaurin=args.prune_maclaurin,
             prune_newton=args.prune_newton,
             prune_sturm=args.prune_sturm,
             workers=args.threads,
@@ -496,7 +485,7 @@ def run(argv: list[str]) -> int:
         else:
             print(f"error: {exc.condition}: {exc}")
         return 3 if isinstance(exc, SearchFailedError) else 2
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # bad flags, or a value past the float range
         print(f"error: usage: {exc}", file=sys.stderr)
         return 1
     if output is not None:

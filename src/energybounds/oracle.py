@@ -203,7 +203,9 @@ def extrema_trace_norm(
     """Extremes of E on {sum x = ns, prod x = p, x > 0}.
 
     Critical configurations are two-valued (k copies of one value), giving
-    E = (n/k - 1)(ns)^2 alpha^2 for each k and branch; the search of
+    E = (n/k - 1)(ns)^2 alpha^2 for each k and branch.  The positive branch
+    at k is the negative one at n - k with the values swapped, so each
+    configuration is solved once and listed twice, with one E.  The search of
     :func:`extrema_search` corroborates them.  The search runs in
     u = log x: there the product constraint, sum u = log p, is linear, and
     sum exp(u) = ns takes the place of S_r, so the same projector restores
@@ -217,16 +219,21 @@ def extrema_trace_norm(
         only = CriticalConfig(n, s, 0.0, 0, 0.0, ConfigKind.INTERIOR)
         return TraceNormExtrema(0.0, 0.0, (only,), 0.0, 0.0, ())
     s1, logp = n * s, math.log(tn.p)
+    # one solve per configuration: j small values and n - j large ones, found
+    # on the negative branch at k = j and mirrored as the positive one at k = n - j
+    configs = []
+    for j in range(1, n):
+        a = solve_trace_norm_alpha(n, j, s, tn.p, Branch.NEGATIVE).alpha
+        large = s * (1.0 - a)
+        # the small values off the product: s(1 + a m) loses them as p/s^n -> 0
+        small = math.exp((logp - (n - j) * math.log(large)) / j)
+        configs.append((small, large, (n - j) / j * a**2 * s1**2))
     cands: list[CriticalConfig] = []
     for k in range(1, n):
-        mk = n / k - 1.0
-        for branch, j in ((Branch.NEGATIVE, k), (Branch.POSITIVE, n - k)):
-            a = solve_trace_norm_alpha(n, k, s, tn.p, branch).alpha
-            # j small values off the product: s(1 + a mk) loses them as p/s^n -> 0
-            large = s * (1.0 - a) if branch is Branch.NEGATIVE else s * (1.0 + a * mk)
-            small = math.exp((logp - (n - j) * math.log(large)) / j)
-            x, y = (small, large) if branch is Branch.NEGATIVE else (large, small)
-            cands.append(CriticalConfig(k, x, y, 0, mk * a**2 * s1**2, ConfigKind.INTERIOR))
+        small, large, e = configs[k - 1]
+        cands.append(CriticalConfig(k, small, large, 0, e, ConfigKind.INTERIOR))
+        small, large, e = configs[n - k - 1]
+        cands.append(CriticalConfig(k, large, small, 0, e, ConfigKind.INTERIOR))
     values = [c.E for c in cands]
 
     def start(row: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,10 +8,13 @@ integers for such a polynomial, so
   * e_1 ranges over [n, 2n): AM-GM gives e_1 >= n * e_n^(1/n) >= n;
   * e_k is capped by the Maclaurin comparison with e_1, which keeps every
     branch finite and is always applied;
-  * optional interior prunes (adjacent Maclaurin, Newton's inequalities,
-    and real-rootedness of the matching derivative truncation) only cut
-    subtrees that provably contain no member, so disabling any of them
-    must not change the output — a property the tests exercise.
+  * optional interior prunes (Newton's inequalities, and real-rootedness of
+    the matching derivative truncation) only cut subtrees that provably
+    contain no member, so disabling either must not change the output — a
+    property the tests exercise.  Newton's inequalities at every ancestor
+    imply Maclaurin's between adjacent e_k (Hardy, Littlewood and Pólya,
+    *Inequalities*, §2.22), so an adjacent-Maclaurin prune would cut
+    nothing that Newton's does not.
 
 The real-rootedness prune admits one integer interval of e_{d+1} per node,
 proved with exact integer signs (see ``_child_bounds``); only candidates
@@ -50,7 +53,7 @@ class CorpusStats:
     """Deterministic work counters of one enumeration; no timings.
 
     ``pruned`` counts the children cut by each prune, checked in the order
-    certificate interval, Maclaurin, Newton, exact Sturm test; the
+    certificate interval, Newton, exact Sturm test; the
     certificate's cuts include leaves.
     """
 
@@ -72,7 +75,7 @@ class CorpusStats:
 
     def as_dict(self) -> dict:
         degrees = sorted({n for n, _ in self.nodes})
-        kinds = ("certificate", "maclaurin", "newton", "exact_test")
+        kinds = ("certificate", "newton", "exact_test")
         return {
             "internal_nodes": {str(n): [self.nodes[n, d] for d in range(1, n)] for n in degrees},
             "pruned": {k: self.pruned[k] for k in kinds},
@@ -92,7 +95,6 @@ def default_trace_bound(n: int) -> int:
 def enumerate_corpus(
     max_degree: int,
     *,
-    prune_maclaurin: bool = True,
     prune_newton: bool = True,
     prune_sturm: bool = True,
     workers: int = 1,
@@ -107,7 +109,7 @@ def enumerate_corpus(
     """
     if not isinstance(max_degree, int) or not 1 <= max_degree <= 9:
         raise ValueError("max_degree must be an integer in 1..9")
-    prunes = (prune_maclaurin, prune_newton, prune_sturm)
+    prunes = (prune_newton, prune_sturm)
     stats = CorpusStats() if stats is None else stats
     degrees = range(min(2, max_degree), max_degree + 1)
     tops = [(n, [e1]) for n in degrees for e1 in range(n, default_trace_bound(n))]
@@ -130,14 +132,14 @@ def enumerate_corpus(
 
 
 def _subtree(
-    task: tuple[int, list[int], tuple[bool, bool, bool]],
+    task: tuple[int, list[int], tuple[bool, bool]],
 ) -> tuple[list[PolyReport], CorpusStats]:
     """Members below one node of the tree, sorted, with the subtree's counters.
 
     The walk is depth first over batches of up to ``_BATCH`` nodes of one
     depth, so that one ``_root_proposals`` call serves a whole batch.  The
     floats only propose: every child ``_children`` cuts is cut by an exact
-    integer inequality (Maclaurin, Newton, the certified interval of
+    integer inequality (Newton, the certified interval of
     ``_child_bounds``) or by the exact Sturm test, so the search visits the
     same nodes as one exact test per candidate would.
     """
@@ -160,11 +162,11 @@ def _subtree(
 
 
 def _expand(
-    n: int, batch: list[list[int]], prunes: tuple[bool, bool, bool], stats: CorpusStats
+    n: int, batch: list[list[int]], prunes: tuple[bool, bool], stats: CorpusStats
 ) -> list[list[int]]:
     """The children of a batch of internal nodes of one depth."""
     truncs = [_truncation(n, es) for es in batch]
-    rows = _real_rows(_root_proposals(truncs)) if prunes[2] else [None] * len(batch)
+    rows = _real_rows(_root_proposals(truncs)) if prunes[1] else [None] * len(batch)
     return [
         es + [e]
         for es, gd, zs in zip(batch, truncs, rows)
@@ -177,7 +179,7 @@ def _children(
     es: list[int],
     gd: list[int],
     zs: list[float] | None,
-    prunes: tuple[bool, bool, bool],
+    prunes: tuple[bool, bool],
     stats: CorpusStats,
 ) -> list[int]:
     """The values of e_{d+1} that the enabled prunes keep below the node es,
@@ -190,7 +192,7 @@ def _children(
     certificate fails, or zs is None, every candidate is tested, as with no
     certificate.
     """
-    use_maclaurin, use_newton, use_sturm = prunes
+    use_newton, use_sturm = prunes
     d = len(es)
     m = d + 1
     stats.nodes[n, d] += 1
@@ -212,9 +214,6 @@ def _children(
     b_prev, b_here, b_next = math.comb(n, d - 1), math.comb(n, d), math.comb(n, m)
     kept = []
     for nxt in range(hi, lo - 1, -1):
-        if use_maclaurin and nxt**d * b_here ** (d + 1) > prev ** (d + 1) * b_next**d:
-            stats.pruned["maclaurin"] += 1
-            continue
         if use_newton and nxt * prev2 * b_here**2 > prev**2 * b_prev * b_next:
             stats.pruned["newton"] += 1
             continue

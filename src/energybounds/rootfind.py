@@ -24,9 +24,6 @@ from typing import Callable, NamedTuple
 
 from .core import REL_TOL, FeasibilityError, _exact_ratio_gap
 
-#: Default relative residual target for the polished root.
-RESIDUAL_TOL = 1e-10
-
 #: The power-sum search's negative end stays this far inside the interval.
 _EDGE = 1e-14
 
@@ -69,33 +66,31 @@ class BranchExistence(NamedTuple):
     ntilde: float
 
 
-def branch_exists(n: int, k: int, r: int, ratio: float, tol: float = REL_TOL) -> BranchExistence:
+def branch_exists(n: int, k: int, r: int, ratio: float) -> BranchExistence:
     """Which sign branches of the power-sum equation have a root.
 
     With ntilde defined by ntilde^(r-1) = n^(r-1) * n / ratio (the effective
     count of the scale-free constraints), the negative root exists iff
     k > n - ntilde and the positive root exists iff k < ntilde.  Values of k
-    within ``tol`` of the threshold are reported as existing; the root then
-    sits at an interval endpoint.
+    within relative ``REL_TOL`` of the threshold are reported as existing;
+    the root then sits at an interval endpoint.
     """
     _check_nk(n, k)
     if not isinstance(r, int) or r < 3:
         raise ValueError("power sum order must be an integer >= 3")
-    if ratio < n * (1.0 - tol) or ratio > float(n) ** r * (1.0 + tol):
+    if ratio < n * (1.0 - REL_TOL) or ratio > float(n) ** r * (1.0 + REL_TOL):
         raise FeasibilityError(
             "n <= ratio <= n^r",
             f"scale-free ratio {ratio} outside [n, n^r] for n={n}, r={r}",
         )
     log_nt = (r * math.log(n) - math.log(max(ratio, n))) / (r - 1)
     nt = min(max(math.exp(log_nt), 1.0), float(n))
-    neg = k > n - nt - tol * n
-    pos = k < nt + tol * n
+    neg = k > n - nt - REL_TOL * n
+    pos = k < nt + REL_TOL * n
     return BranchExistence(neg, pos, nt)
 
 
-def solve_trace_norm_alpha(
-    n: int, k: int, s: float, p: float, branch: Branch, tol: float = RESIDUAL_TOL
-) -> AlphaRoot:
+def solve_trace_norm_alpha(n: int, k: int, s: float, p: float, branch: Branch) -> AlphaRoot:
     """Root of (1 + alpha*m)^k (1 - alpha)^(n-k) = p / s^n on the given branch.
 
     The left side equals 1 at alpha = 0 and tends to 0 at both ends of
@@ -148,7 +143,7 @@ def solve_trace_norm_alpha(
     # f(hi) >= 0 as F >= j t and F >= -nq t^2/2 (F(0) = F'(0) = 0, F'' >= -nq).  F is
     # concave: the first Newton step from hi lands below the root, later ones rise to it
     hi = min(log_target / j, -math.sqrt(-2.0 * log_target / (n * q)))
-    t, res, iters = _newton(f, fp, hi, tol, -math.inf, hi)
+    t, res, iters = _newton(f, fp, hi, -math.inf, hi)
     # m as (n-k)/k: n/k - 1 cancels for k near n, and m's error is alpha's
     alpha = math.expm1(t) / ((n - k) / k) if branch is Branch.NEGATIVE else -math.expm1(t)
     # the product side minus p/s^n, i.e. (p/s^n) * (exp(log residual) - 1)
@@ -178,7 +173,7 @@ def _exact_gap(n: int, s: float, p: float) -> float:
 
 
 def solve_powersum_alpha(
-    n: int, k: int, r: int, s1: float, sr: float, branch: Branch, tol: float = RESIDUAL_TOL
+    n: int, k: int, r: int, s1: float, sr: float, branch: Branch
 ) -> AlphaRoot:
     """Root of k(1+alpha*m)^r + (n-k)(1-alpha)^r = n^r S_r / S_1^r on a branch.
 
@@ -213,13 +208,10 @@ def solve_powersum_alpha(
             f"positive branch needs k < ntilde = {exists.ntilde:.12g}, got k={k}",
         )
     m = n / k - 1.0
-    coeffs = [math.comb(r, j) * (k * m**j + (n - k) * (-1) ** j) for j in range(r, 1, -1)]
+    coeffs = tuple(math.comb(r, j) * (k * m**j + (n - k) * (-1) ** j) for j in range(r, 1, -1))
 
     def g(a: float) -> float:
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * a + c
-        return a * a * acc - gap
+        return _series(coeffs, a) - gap
 
     def gp(a: float) -> float:
         return (n - k) * r * ((1.0 + a * m) ** (r - 1) - (1.0 - a) ** (r - 1))
@@ -236,7 +228,7 @@ def solve_powersum_alpha(
         a0 = max(-quad, 1.0 - (ratio / (n - k)) ** (1.0 / r), end)
     else:
         a0 = min(quad, ((ratio / k) ** (1.0 / r) - 1.0) / m, end)
-    alpha, res, iters = _newton(g, gp, a0, tol * max(1.0, ratio), min(end, 0.0), max(end, 0.0))
+    alpha, res, iters = _newton(g, gp, a0, min(end, 0.0), max(end, 0.0))
     return AlphaRoot(alpha, branch, k, res, iters)
 
 
@@ -251,7 +243,6 @@ def _newton(
     f: Callable[[float], float],
     fp: Callable[[float], float],
     x0: float,
-    ftol: float,
     lo: float,
     hi: float,
 ) -> tuple[float, float, int]:
@@ -264,8 +255,10 @@ def _newton(
     stays on that side of the root and moves toward it; one step from the
     other side lands there.  So once the second step has set the direction,
     a step that turns back, or rounds to no move, is rounding: the iteration
-    stops.  It also stops once |f| <= ftol after a step within 4 ulp of
-    max(|x|, 1), or after 80 evaluations.
+    stops.  It also stops after a step within 4 ulp of max(|x|, 1), since the
+    convergence is quadratic and the next step would be below one ulp, or
+    after 80 evaluations.  No test on |f| is needed: the stops on the step
+    alone return the same root.
     """
     x, fx = x0, f(x0)
     iters, last = 1, 0.0
@@ -278,6 +271,6 @@ def _newton(
             last = step
         x, fx = x_new, f(x_new)
         iters += 1
-        if abs(fx) <= ftol and abs(step) <= 4.0 * math.ulp(max(abs(x), 1.0)):
+        if abs(step) <= 4.0 * math.ulp(max(abs(x), 1.0)):
             break
     return x, fx, iters

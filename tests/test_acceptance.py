@@ -354,7 +354,7 @@ def test_criterion_09_corpus_self_consistency():
     t0 = time.perf_counter()
     base = enumerate_corpus(2)
     full = enumerate_corpus(6)
-    repruned = enumerate_corpus(6, prune_maclaurin=False)
+    repruned = enumerate_corpus(6, prune_newton=False)
     counts = Counter(r.poly.degree for r in full)
     elapsed = time.perf_counter() - t0
     same = [r.poly.coeffs for r in full] == [r.poly.coeffs for r in repruned]

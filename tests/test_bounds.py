@@ -29,7 +29,6 @@ from energybounds import (
     uv_values,
 )
 from energybounds.bounds import log_hyperfactorial
-from energybounds.rootfind import RESIDUAL_TOL
 
 
 # --- frozen witnesses -------------------------------------------------------
@@ -54,7 +53,7 @@ def test_energy_min_trace_norm_tiny_product():
     for n, p, limit in ((2, 1e-20, 16.0), (6, 1e-12, 28.8)):
         report = energy_min_trace_norm(TraceNormConstraints(n, 2.0, p))
         assert report.value == pytest.approx(limit, rel=1e-12)
-        assert abs(report.alpha.residual) <= RESIDUAL_TOL * p / 2.0**n
+        assert abs(report.alpha.residual) <= 1e-10 * p / 2.0**n
         assert not report.alpha.at_boundary
 
 def test_energy_min_power_witness():

@@ -1,6 +1,9 @@
 """Tests for the command-line surface (exit codes, JSON shape, determinism)."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ def test_bound_emin_tn_json(capsys):
     assert result["value"] == pytest.approx(5.096134491443073, rel=1e-12)
     assert result["alpha"]["branch"] == "negative"
     assert result["alpha"]["k"] == 1
-    assert payload["diagnostics"]["tol"] == pytest.approx(1e-10)
+    assert payload["diagnostics"] == {}
 
 
 
@@ -42,7 +45,7 @@ def test_bound_emin_tn_tiny_product(capsys):
         )
         assert payload["result"]["value"] == pytest.approx(limit, rel=1e-12)
         alpha = payload["result"]["alpha"]
-        assert abs(alpha["residual"]) <= payload["diagnostics"]["tol"] * float(p) / 2.0 ** int(n)
+        assert abs(alpha["residual"]) <= 1e-10 * float(p) / 2.0 ** int(n)
         assert alpha["at_boundary"] is False
 
 
@@ -169,6 +172,27 @@ def test_usage_errors_exit_1(capsys):
     assert "usage" in err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "sr-upper", "--n", "4", "--r", "5", "--s1", "1e300", "--energy", "1"],
+        ["bound", "reverse-amgm", "--n", "4", "--s", "1e300", "--energy", "1"],
+        ["bound", "emin-tn", "--n", "4", "--s", "1e300", "--p", "1e300"],
+        ["bound", "potential-lower", "--n", "3", "--s1", "1e300", "--delta", "4",
+         "--a", "1e300", "--b", "1e300"],
+    ],
+)
+def test_overflow_is_a_usage_error(capsys, argv, json_flag):
+    # a result past the float range is reported like a non-finite bound value:
+    # exit 1 and one usage line, no traceback
+    assert run(argv + json_flag) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: usage: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_tiny_product_search_succeeds(capsys):
     # p = 1e-300: the search runs in log x, so a coordinate near 2.5e-301
     # projects like any other
@@ -244,6 +268,21 @@ def test_oracle_trace_norm_json(capsys):
     )
     assert payload["result"]["min"] == pytest.approx(5.096134491443073, rel=1e-6)
     assert payload["result"]["max"] == pytest.approx(7.668396859688313, rel=1e-6)
+
+
+def test_oracle_trace_norm_mirrored_candidates_agree(capsys):
+    # k small values listed at k (negative branch) and at n - k (positive
+    # branch, values swapped) are one configuration with one energy
+    n = 4
+    payload = _json_out(
+        capsys, ["oracle", "trace-norm", "--n", str(n), "--s", "2", "--p", "10", "--json"]
+    )
+    cands = payload["result"]["candidates"]
+    assert len(cands) == 2 * (n - 1)
+    for k in range(1, n):
+        neg, pos = cands[2 * (k - 1)], cands[2 * (n - k - 1) + 1]
+        assert (neg["k"], pos["k"]) == (k, n - k)
+        assert (pos["E"], pos["x"], pos["y"]) == (neg["E"], neg["y"], neg["x"])
 
 
 @pytest.mark.parametrize(
@@ -388,7 +427,7 @@ def test_corpus_json(capsys):
     stats = payload["diagnostics"]["stats"]
     assert stats["internal_nodes"] == {"2": [2], "3": [3, 16]}
     assert stats["leaves"] - sum(stats["leaf_rejects"].values()) == result["count"]
-    assert set(stats["pruned"]) == {"certificate", "maclaurin", "newton", "exact_test"}
+    assert set(stats["pruned"]) == {"certificate", "newton", "exact_test"}
 
 
 def test_constants_siegel(capsys):
@@ -398,3 +437,45 @@ def test_constants_siegel(capsys):
     assert result["theta"] == pytest.approx(0.3144808694076347, rel=1e-9)
     assert result["lambda_www"] == 1.793145
     assert abs(result["residual"]) <= 1e-12
+
+
+# --- the README's examples ----------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+_NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+
+
+def _readme_examples():
+    """(argv, shown output lines) for every `$ energy-bounds` line of the README."""
+    examples, current = [], None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ energy-bounds "):
+            current = (shlex.split(line)[2:], [])
+            examples.append(current)
+        elif current is not None and line and not line.startswith("```"):
+            current[1].append(line)
+        else:
+            current = None
+    return examples
+
+
+_EXAMPLES = _readme_examples()
+
+
+def test_readme_has_examples():
+    assert len(_EXAMPLES) >= 6
+
+
+@pytest.mark.parametrize("argv, shown", _EXAMPLES, ids=[" ".join(a) for a, _ in _EXAMPLES])
+def test_readme_example_runs(capsys, monkeypatch, argv, shown):
+    # each example exits 0, prints strict JSON where --json is given, and
+    # prints every number the README shows for it
+    monkeypatch.setenv("ENERGY_BOUNDS_THREADS", "1")
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    if "--json" in argv:
+        json.loads(out, parse_constant=_reject_constant)
+    printed = set(_NUMBER.findall(out))
+    for line in shown:
+        for number in _NUMBER.findall(line):
+            assert number in printed, (number, line)

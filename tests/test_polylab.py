@@ -366,12 +366,34 @@ def test_corpus_through_degree_five():
 
 def test_corpus_prunes_only_skip_nonmembers():
     baseline = [r.poly.coeffs for r in enumerate_corpus(5)]
-    for flag in ("prune_maclaurin", "prune_newton", "prune_sturm"):
+    for flag in ("prune_newton", "prune_sturm"):
         got = [r.poly.coeffs for r in enumerate_corpus(5, **{flag: False})]
         assert got == baseline
 
 
-_ALL_PRUNES = (True, True, True)
+_ALL_PRUNES = (True, True)
+
+
+def test_newton_prune_implies_maclaurin():
+    """Newton's inequalities at every ancestor imply Maclaurin's between
+    adjacent e_k (Hardy, Littlewood and Polya, *Inequalities*, 2.22), so
+    the corpus walk needs no Maclaurin prune: at every internal node of
+    degree <= 6, every child that the Newton prune keeps satisfies
+    e_{d+1}^d C(n,d)^(d+1) <= e_d^(d+1) C(n,d+1)^d, in exact integers."""
+    checked = 0
+    for n in range(2, 7):
+        level = [[e1] for e1 in range(n, default_trace_bound(n))]
+        while len(level[0]) < n:
+            for es in level:
+                d = len(es)
+                gd = corpus._truncation(n, es)
+                kept = corpus._children(n, es, gd, None, (True, False), corpus.CorpusStats())
+                b_here, b_next = math.comb(n, d), math.comb(n, d + 1)
+                for nxt in kept:
+                    assert nxt**d * b_here ** (d + 1) <= es[-1] ** (d + 1) * b_next**d, (n, es, nxt)
+                checked += len(kept)
+            level = corpus._expand(n, level, _ALL_PRUNES, corpus.CorpusStats())
+    assert checked == 95296
 
 
 def _scanned_nodes(n, e1):
