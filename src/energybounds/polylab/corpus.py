@@ -53,8 +53,8 @@ class CorpusStats:
     """Deterministic work counters of one enumeration; no timings.
 
     ``pruned`` counts the children cut by each prune, checked in the order
-    certificate interval, Newton, exact Sturm test; the
-    certificate's cuts include leaves.
+    certificate interval, Newton, exact Sturm test; the certificate's cuts
+    include leaves.
     """
 
     nodes: Counter = field(default_factory=Counter)  # (degree, depth) -> internal nodes
@@ -139,9 +139,9 @@ def _subtree(
     The walk is depth first over batches of up to ``_BATCH`` nodes of one
     depth, so that one ``_root_proposals`` call serves a whole batch.  The
     floats only propose: every child ``_children`` cuts is cut by an exact
-    integer inequality (Newton, the certified interval of
-    ``_child_bounds``) or by the exact Sturm test, so the search visits the
-    same nodes as one exact test per candidate would.
+    integer inequality (Newton, the certified interval of ``_child_bounds``)
+    or by the exact Sturm test, so the search visits the same nodes as one
+    exact test per candidate would.
     """
     n, start, prunes = task
     stats = CorpusStats()

@@ -172,7 +172,7 @@ def test_usage_errors_exit_1(capsys):
     assert "usage" in err
 
 
-@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -182,6 +182,7 @@ def test_usage_errors_exit_1(capsys):
         ["bound", "potential-lower", "--n", "3", "--s1", "1e300", "--delta", "4",
          "--a", "1e300", "--b", "1e300"],
     ],
+    ids=lambda argv: argv[1],
 )
 def test_overflow_is_a_usage_error(capsys, argv, json_flag):
     # a result past the float range is reported like a non-finite bound value:
