@@ -152,8 +152,10 @@ def extrema_search(
     ``restarts`` seeded starts run per direction (minimize and maximize),
     all rows advanced together in the vectorized loop that
     :func:`extrema_trace_norm` shares.  Support sizes cycle
-    deterministically through n, n-1, ..., ntilde_ceil so every admissible
-    boundary stratum gets its own rows (when restarts >= k* + 1); a row
+    deterministically through n, n-1, ..., down to the smallest support
+    whose exact ratio gap admits S_r (ntilde_ceil, or more where ntilde
+    snaps down), so every admissible boundary stratum gets its own rows
+    (when restarts >= k* + 1); a row
     never leaves its stratum — a step shrinks a coordinate by at most
     1000x, so interior optima with tiny entries are approached
     geometrically instead of being clipped to zero.  Each step follows the
@@ -169,7 +171,13 @@ def extrema_search(
     if ps.all_equal:
         return SearchExtrema(0.0, 0.0, ())
     n, r, s1, sr = ps.n, ps.r, ps.s1, ps.sr
-    strata = n - ps.ntilde_ceil + 1
+    # the smallest support that can carry S_r: ntilde_ceil can fall short by
+    # one where ntilde snaps down to an integer
+    fewest = next(
+        (m for m in range(ps.ntilde_ceil, n) if _exact_ratio_gap(m, r, s1, sr) >= -_PROJ_TOL * m),
+        n,
+    )
+    strata = n - fewest + 1
 
     def start(row: int) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, row, 0])))

@@ -18,7 +18,14 @@ integers for such a polynomial, so
 
 The real-rootedness prune admits one integer interval of e_{d+1} per node,
 proved with exact integer signs (see ``_child_bounds``); only candidates
-the certificate cannot settle get an exact Sturm test.
+the certificate cannot settle get an exact Sturm test.  Floats filter,
+integers prove: ``_filtered_bounds`` builds the same certificate for a
+whole batch of nodes in float64, and keeps a float result only where an
+a-priori error bound shows it equals the exact one; every other node gets
+the exact ``_child_bounds``.  So the output does not depend on the filter.
+
+One ``logging`` INFO line per finished (degree, e_1) subtree reports its
+internal nodes, leaves and members.
 
 Leaves are accepted by exact Sturm counts (n distinct real roots, all
 positive) and an exact irreducibility check, then reported through
@@ -27,6 +34,8 @@ verify_theorem2.
 
 from __future__ import annotations
 
+import itertools
+import logging
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -46,6 +55,10 @@ _GRID = 40
 _REL = 30
 #: nodes per ``_root_proposals`` call
 _BATCH = 128
+#: the unit roundoff of float64
+_U = 2.0**-53
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -62,6 +75,7 @@ class CorpusStats:
     certified_pass: int = 0  # children the certificate admits without a test
     exact_tests: int = 0  # _truncation_real_rooted calls
     fallback_nodes: int = 0  # nodes whose certificate failed: per-candidate scan
+    filter_fallbacks: int = 0  # nodes with real proposals the float filter left to _child_bounds
     leaves: int = 0  # leaves given the root census
     leaf_rejects: Counter = field(default_factory=Counter)  # reason -> leaves
 
@@ -82,6 +96,7 @@ class CorpusStats:
             "certified_pass": self.certified_pass,
             "exact_tests": self.exact_tests,
             "fallback_nodes": self.fallback_nodes,
+            "filter_fallbacks": self.filter_fallbacks,
             "leaves": self.leaves,
             "leaf_rejects": {k: self.leaf_rejects[k] for k in ("census", "reducible")},
         }
@@ -113,22 +128,42 @@ def enumerate_corpus(
     stats = CorpusStats() if stats is None else stats
     degrees = range(min(2, max_degree), max_degree + 1)
     tops = [(n, [e1]) for n in degrees for e1 in range(n, default_trace_bound(n))]
-    if workers > 1:
-        # split on (n, e1, e2): a few heavy e1 subtrees would leave workers idle
-        tasks = []
-        for n, es in tops:
-            starts = [es] if len(es) == n else _expand(n, [es], prunes, stats)
-            tasks.extend((n, start, prunes) for start in starts)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_subtree, tasks))
-    else:
-        chunks = [_subtree((n, es, prunes)) for n, es in tops]
     reports = []
-    for chunk, chunk_stats in chunks:
-        reports.extend(chunk)
-        stats.merge(chunk_stats)
+    for (n, (e1,)), (members, sub) in zip(tops, _walk(tops, prunes, workers)):
+        log.info(
+            "degree %d, e1 = %d: %d internal nodes, %d leaves, %d members",
+            n, e1, sum(sub.nodes.values()), sub.leaves, len(members),
+        )
+        reports.extend(members)
+        stats.merge(sub)
     reports.sort(key=lambda r: (r.poly.degree, r.poly.coeffs))
     return reports
+
+
+def _walk(
+    tops: list[tuple[int, list[int]]], prunes: tuple[bool, bool], workers: int
+) -> Iterable[tuple[list[PolyReport], CorpusStats]]:
+    """The members and counters below each top node, in the order of tops,
+    each yielded as soon as its subtree is done."""
+    if workers <= 1:
+        for n, es in tops:
+            yield _subtree((n, es, prunes))
+        return
+    # split on (n, e1, e2): a few heavy e1 subtrees would leave workers idle
+    heads, tasks = [], []
+    for n, es in tops:
+        head = CorpusStats()
+        starts = [es] if len(es) == n else _expand(n, [es], prunes, head)
+        heads.append((head, len(starts)))
+        tasks.extend((n, start, prunes) for start in starts)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunks = pool.map(_subtree, tasks)
+        for sub, count in heads:
+            members = []
+            for chunk, chunk_stats in itertools.islice(chunks, count):
+                members.extend(chunk)
+                sub.merge(chunk_stats)
+            yield members, sub
 
 
 def _subtree(
@@ -165,67 +200,82 @@ def _expand(
     n: int, batch: list[list[int]], prunes: tuple[bool, bool], stats: CorpusStats
 ) -> list[list[int]]:
     """The children of a batch of internal nodes of one depth."""
-    truncs = [_truncation(n, es) for es in batch]
-    rows = _real_rows(_root_proposals(truncs)) if prunes[1] else [None] * len(batch)
+    caps = [_cap(n, es) for es in batch]
+    bounds = _batch_bounds(n, batch, caps, stats) if prunes[1] else [None] * len(batch)
     return [
         es + [e]
-        for es, gd, zs in zip(batch, truncs, rows)
-        for e in _children(n, es, gd, zs, prunes, stats)
+        for es, cap, b in zip(batch, caps, bounds)
+        for e in _children(n, es, cap, b, prunes, stats)
     ]
+
+
+def _cap(n: int, es: list[int]) -> int:
+    """The always-on cap on the next value, from the Maclaurin chain against
+    the mean: (e_m/binom)^(1/m) <= e_1/n."""
+    m = len(es) + 1
+    return math.comb(n, m) * es[0] ** m // n**m
 
 
 def _children(
     n: int,
     es: list[int],
-    gd: list[int],
-    zs: list[float] | None,
+    cap: int,
+    bounds: tuple[int, int, int, int] | None,
     prunes: tuple[bool, bool],
     stats: CorpusStats,
 ) -> list[int]:
     """The values of e_{d+1} that the enabled prunes keep below the node es,
-    whose truncation is gd, given gd's real root proposals zs, ascending.
+    descending, given its ``_cap`` and its certificate ``bounds`` (see
+    ``_child_bounds``), or None.
 
-    With the real-rootedness prune on, ``_child_bounds`` confines the
-    candidates to one interval; inside it, only those the certificate
-    cannot settle get ``_truncation_real_rooted``.  Leaves (d + 1 = n) are
-    only narrowed: the root census in ``_accept`` tests them.  When the
-    certificate fails, or zs is None, every candidate is tested, as with no
-    certificate.
+    With the real-rootedness prune on, the certificate confines the
+    candidates to one interval; inside it, only those it cannot settle get
+    ``_truncation_real_rooted``.  Leaves (d + 1 = n) are only narrowed: the
+    root census in ``_accept`` tests them.  Without a certificate every
+    candidate is tested.
     """
     use_newton, use_sturm = prunes
     d = len(es)
     m = d + 1
     stats.nodes[n, d] += 1
-    # always-on cap from the Maclaurin chain against the mean:
-    # (e_m/binom)^(1/m) <= e_1/n
-    hi = math.comb(n, m) * es[0] ** m // n**m
-    lo, sure_lo, sure_hi = 1, 1, 0
-    test = use_sturm and m < n
+    lo, sure_lo, sure_hi, hi = 1, 1, 0, cap
     if use_sturm:
-        bounds = None if zs is None else _child_bounds(n, gd, zs, hi)
         if bounds is None:
             stats.fallback_nodes += 1
         else:
-            lo, sure_lo, sure_hi, new_hi = bounds
-            stats.pruned["certificate"] += hi - max(0, new_hi - lo + 1)
-            hi = new_hi
-    prev = es[-1]
-    prev2 = es[-2] if d >= 2 else 1
-    b_prev, b_here, b_next = math.comb(n, d - 1), math.comb(n, d), math.comb(n, m)
+            lo, sure_lo, sure_hi, hi = bounds
+            stats.pruned["certificate"] += cap - max(0, hi - lo + 1)
+    if use_newton:
+        # Newton's e_{d+1} e_{d-1} / (C(n,d+1) C(n,d-1)) <= (e_d / C(n,d))^2
+        # keeps exactly the candidates up to this floor
+        prev, prev2 = es[-1], es[-2] if d >= 2 else 1
+        b_prev, b_here, b_next = math.comb(n, d - 1), math.comb(n, d), math.comb(n, m)
+        top = min(hi, prev**2 * b_prev * b_next // (prev2 * b_here**2))
+        stats.pruned["newton"] += max(0, hi - max(top, lo - 1))
+        hi = top
+    if not (use_sturm and m < n):
+        return list(range(hi, lo - 1, -1))
+    # the certified passes are top..bottom; the tested candidates lie above
+    # them, down to split + 1, and below them, from split down
+    top, bottom = min(sure_hi, hi), max(sure_lo, lo)
+    split = max(top, lo - 1)
+    stats.certified_pass += max(0, top - bottom + 1)
+    return (
+        _tested(n, es, range(hi, split, -1), stats)
+        + list(range(top, bottom - 1, -1))
+        + _tested(n, es, range(min(bottom - 1, split), lo - 1, -1), stats)
+    )
+
+
+def _tested(n: int, es: list[int], values: range, stats: CorpusStats) -> list[int]:
+    """The values e whose child es + [e] passes the exact truncation test."""
     kept = []
-    for nxt in range(hi, lo - 1, -1):
-        if use_newton and nxt * prev2 * b_here**2 > prev**2 * b_prev * b_next:
-            stats.pruned["newton"] += 1
-            continue
-        if test:
-            if sure_lo <= nxt <= sure_hi:
-                stats.certified_pass += 1
-            else:
-                stats.exact_tests += 1
-                if not _truncation_real_rooted(n, es + [nxt]):
-                    stats.pruned["exact_test"] += 1
-                    continue
-        kept.append(nxt)
+    for e in values:
+        stats.exact_tests += 1
+        if _truncation_real_rooted(n, es + [e]):
+            kept.append(e)
+        else:
+            stats.pruned["exact_test"] += 1
     return kept
 
 
@@ -233,9 +283,13 @@ def _signed_coeffs(es: Iterable[int]) -> list[int]:
     return [1] + [(-1) ** (i + 1) * e for i, e in enumerate(es)]
 
 
-#: _FALLING[n][m][i] = (n-i)!/(m-i)!, the truncation's coefficient factors
+#: _FALLING[n][m][i] = (-1)^i (n-i)!/(m-i)!, the truncation's coefficient
+#: factors with the signs of f's coefficients
 _FALLING = [
-    [[math.factorial(n - i) // math.factorial(m - i) for i in range(m + 1)] for m in range(n + 1)]
+    [
+        [(-1) ** i * math.factorial(n - i) // math.factorial(m - i) for i in range(m + 1)]
+        for m in range(n + 1)
+    ]
     for n in range(10)
 ]
 
@@ -245,7 +299,7 @@ def _truncation(n: int, es: list[int]) -> list[int]:
 
     Its coefficients are a_i (n-i)!/(m-i)!, where a_i = (-1)^i e_i are f's.
     """
-    return [a * r for a, r in zip(_signed_coeffs(es), _FALLING[n][len(es)])]
+    return [r * e for r, e in zip(_FALLING[n][len(es)], [1, *es])]
 
 
 def _truncation_real_rooted(n: int, es: list[int]) -> bool:
@@ -317,7 +371,8 @@ def _child_bounds(
     value.  Candidates whose verdict that enclosure of H(r) cannot decide
     lie inside [lo, hi] but outside [sure_lo, sure_hi], and get the exact
     test.  Fewer than d proposals, overlapping intervals or a failed sign
-    check give None.
+    check give None.  ``_filtered_bounds`` gives the same tuple from floats
+    where it can prove it; this is the reference, and the path for the rest.
     """
     m = len(gd)
     if len(zs) != m - 1:
@@ -350,6 +405,115 @@ def _child_bounds(
             sure_lo = max(sure_lo, -(-(u + err) // scale))
             lo = max(lo, -(-(u - err) // scale))
     return lo, sure_lo, sure_hi, hi
+
+
+def _batch_bounds(
+    n: int, batch: list[list[int]], caps: list[int], stats: CorpusStats
+) -> list[tuple[int, int, int, int] | None]:
+    """``_child_bounds``' certificate for every node of a batch of one depth,
+    given the nodes' ``_cap`` values, or None where it cannot be built.
+
+    One ``_root_proposals`` call serves the batch.  ``_filtered_bounds``
+    settles what it can in float64; every other node whose proposals are
+    real gets the exact ``_child_bounds``, counted in ``filter_fallbacks``.
+    """
+    truncs = [_truncation(n, es) for es in batch]
+    zs = _root_proposals(truncs)
+    out = _filtered_bounds(n, truncs, zs, caps)
+    for i, row in enumerate(_real_rows(zs)):
+        if out[i] is None and row is not None:
+            stats.filter_fallbacks += 1
+            out[i] = _child_bounds(n, truncs[i], row, caps[i])
+    return out
+
+
+def _filtered_bounds(
+    n: int, truncs: list[list[int]], zs: np.ndarray, caps: list[int]
+) -> list[tuple[int, int, int, int] | None]:
+    """``_child_bounds(n, gd, row, cap)`` for each truncation of a batch of
+    one degree d, with its row of ``zs`` and its cap, computed in float64;
+    None wherever the floats cannot prove their tuple equal to the exact one.
+
+    The dyadic ends a and b and the midpoint t come from the proposals as in
+    ``_child_bounds``, and are exact in float64 below 2^52.  Horner's rule
+    at x on a polynomial of degree p with exact coefficients errs by at most
+    gamma_2p sum |c_i| |x|^i (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 5.1); ``_horner_float`` returns a bound a
+    little above that.  A sign of g_d at a or b is kept only when the value
+    clears its bound.  Each (u -+ err)/scale gets an enclosure from the bounds
+    on H(t) and on M, plus the roundings that follow, and its floor or
+    ceiling is kept only when both ends of the enclosure give the same
+    integer.  Where g_d has an integer root, t is that root, and u/scale
+    may be an integer that err moves by far less than an ulp: that floor is
+    straddled, and the node falls back.  So do rows that are complex,
+    non-finite or of a shape other than (len(truncs), d), coefficients of
+    magnitude 2^53 or more, and overlapping intervals.
+    """
+    k, m = len(truncs), len(truncs[0])
+    d = m - 1
+    if zs.shape != (k, d):
+        return [None] * k
+    unit = 2.0**-_GRID
+    with np.errstate(all="ignore"):  # inf and nan fail the checks below
+        ok = np.isfinite(zs).all(axis=1)
+        if np.iscomplexobj(zs):
+            ok &= ~zs.imag.any(axis=1)
+            zs = zs.real
+        G = np.array(truncs, dtype=float)
+        ok &= (np.abs(G) < 2.0**53).all(axis=1)
+        t = np.rint(np.sort(zs, axis=1) * 2.0**_GRID)
+        half = np.floor(np.abs(t) * 2.0**-_REL) + 1.0
+        ab = np.hstack([t - half, t + half])  # a and b, exact below 2^52
+        g, g_err = _horner_float(G, ab * unit)
+        gb = g[:, d:]
+        ok &= (
+            (np.abs(t) < 2.0**52).all(axis=1)
+            & (ab[:, 1:d] > ab[:, d : 2 * d - 1]).all(axis=1)  # disjoint intervals
+            & (np.abs(g) > g_err).all(axis=1)
+            & ((g[:, :d] > 0) != (gb > 0)).all(axis=1)
+        )
+        # H' = g_d, H(0) = 0: G / (m - i) is exact, as in _child_bounds
+        h, h_err = _horner_float(np.hstack([G / (m - np.arange(m)), np.zeros((k, 1))]), t * unit)
+        reach = np.maximum(np.abs(ab[:, :1]), np.abs(ab[:, -1:]))
+        bound, bound_err = _horner_float(np.abs(G[:, :-1] * (d - np.arange(d))), reach * unit)
+        w = (half * unit) ** 2
+        s = -1.0 if m % 2 else 1.0
+        u, err = -s * h, bound * w
+        # (u -+ err)/scale = (-s H(t) -+ M w) / (n - m)!, in units of the roots
+        fact = math.factorial(n - m)
+        delta = 2.0 * (h_err + bound_err * w + 4.0 * _U * (np.abs(u) + err)) / fact
+        # at a maximum of H the condition reads e <= u / scale: floors; at a
+        # minimum e >= u / scale: ceilings, taken as -floor(-x)
+        at_max = (gb > 0) == (s > 0)
+        flip = np.where(at_max, 1.0, -1.0)
+        ints = []
+        for x in ((u - err) / fact, (u + err) / fact):
+            low, high = np.floor(flip * x - delta), np.floor(flip * x + delta)
+            ok &= ((low == high) & np.isfinite(low)).all(axis=1)
+            ints.append(low)
+        minus, plus = ints
+        bounds = np.stack(
+            [
+                np.maximum(-np.where(at_max, np.inf, minus).min(axis=1), 1.0),  # lo
+                np.maximum(-np.where(at_max, np.inf, plus).min(axis=1), 1.0),  # sure_lo
+                np.minimum(np.where(at_max, minus, np.inf).min(axis=1), caps),  # sure_hi
+                np.minimum(np.where(at_max, plus, np.inf).min(axis=1), caps),  # hi
+            ],
+            axis=1,
+        )
+        rows = np.where(ok[:, None], bounds, 0.0).astype(np.int64).tolist()
+    return [tuple(row) if good else None for row, good in zip(rows, ok.tolist())]
+
+
+def _horner_float(coeffs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Horner's rule for rows of coefficients (k, p + 1), leading first, at
+    points x (k, j), with a bound on each value's rounding error: (2p + 2) u
+    sum |c_i| |x|^i, above gamma_2p and the rounding of that sum itself."""
+    mags, ax = np.abs(coeffs), np.abs(x)
+    val, mag = coeffs[:, :1], mags[:, :1]
+    for j in range(1, coeffs.shape[1]):
+        val, mag = val * x + coeffs[:, j : j + 1], mag * ax + mags[:, j : j + 1]
+    return val, (2 * coeffs.shape[1]) * _U * mag
 
 
 def _accept(n: int, es: list[int], stats: CorpusStats) -> PolyReport | None:

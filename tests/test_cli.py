@@ -426,6 +426,10 @@ def test_corpus_json(capsys):
     assert result["members"][1]["coeffs"] == [1, -5, 6, -1]
     assert payload["inputs"]["prune_sturm"] is True
     stats = payload["diagnostics"]["stats"]
+    assert list(stats) == [
+        "internal_nodes", "pruned", "certified_pass", "exact_tests", "fallback_nodes",
+        "filter_fallbacks", "leaves", "leaf_rejects",
+    ]
     assert stats["internal_nodes"] == {"2": [2], "3": [3, 16]}
     assert stats["leaves"] - sum(stats["leaf_rejects"].values()) == result["count"]
     assert set(stats["pruned"]) == {"certificate", "newton", "exact_test"}

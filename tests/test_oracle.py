@@ -84,8 +84,23 @@ def test_search_brackets_two_value():
         assert se.max >= tv.max - 1e-4 * scale
 
 
+def test_search_rows_skip_strata_short_of_sr():
+    """Next to the single-point end, ntilde snaps down to 1 although one
+    coordinate cannot carry S_r: no row is spent on that stratum.  For n = 2
+    the manifold is the one point (x - y)^2 = S_1^2 - 4 (S_1^3 - S_3) / (3 S_1)."""
+    n, r, s1, u = 2, 3, 10.0, 1.0 - 1e-9
+    lo, hi = r * math.log(s1) - (r - 1) * math.log(n), r * math.log(s1)
+    ps = PowerSumConstraints(n, r, s1, math.exp(lo + u * (hi - lo)))
+    assert ps.ntilde_ceil == 1
+    se = extrema_search(ps, restarts=16)
+    assert se.failed == ()
+    only = s1**2 - 4 * (s1**3 - ps.sr) / (3 * s1)
+    assert se.min == pytest.approx(only, rel=1e-12)
+    assert se.max == pytest.approx(only, rel=1e-12)
+
+
 SEARCHES = {
-    "power": (extrema_search, PowerSumConstraints(4, 3, 4.0, 16.0)),
+    "power":(extrema_search, PowerSumConstraints(4, 3, 4.0, 16.0)),
     "trace_norm": (extrema_trace_norm, TraceNormConstraints(4, 1.5, 3.0)),
 }
 

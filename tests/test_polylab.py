@@ -1,8 +1,10 @@
 """Tests for the exact integer-polynomial machinery."""
 
 import itertools
+import logging
 import math
-from collections import Counter
+import re
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -386,8 +388,9 @@ def test_newton_prune_implies_maclaurin():
         while len(level[0]) < n:
             for es in level:
                 d = len(es)
-                gd = corpus._truncation(n, es)
-                kept = corpus._children(n, es, gd, None, (True, False), corpus.CorpusStats())
+                kept = corpus._children(
+                    n, es, corpus._cap(n, es), None, (True, False), corpus.CorpusStats()
+                )
                 b_here, b_next = math.comb(n, d), math.comb(n, d + 1)
                 for nxt in kept:
                     assert nxt**d * b_here ** (d + 1) <= es[-1] ** (d + 1) * b_next**d, (n, es, nxt)
@@ -403,8 +406,8 @@ def _scanned_nodes(n, e1):
     while stack:
         es = stack.pop()
         if len(es) < n:
-            gd = corpus._truncation(n, es)
-            kids = corpus._children(n, es, gd, None, _ALL_PRUNES, corpus.CorpusStats())
+            cap = corpus._cap(n, es)
+            kids = corpus._children(n, es, cap, None, _ALL_PRUNES, corpus.CorpusStats())
             yield es, kids
             stack.extend(es + [e] for e in kids)
 
@@ -413,22 +416,26 @@ def test_certified_children_match_scan():
     """At every internal node of degree <= 5, and under four degree-6 e_1,
     the certificate keeps exactly the children the exact scan keeps (leaves
     are only narrowed, keeping every real-rooted one), and its claims hold
-    on every candidate around its interval."""
+    on every candidate around its interval.  The float filter, run on the
+    same nodes in batches, gives the exact certificate's tuple wherever it
+    gives one, and leaves some nodes to it: those whose truncation has an
+    integer root, where (u -+ err)/scale lies next to an integer."""
     stats = corpus.CorpusStats()
     starts = [(n, e1) for n in range(2, 6) for e1 in range(n, 2 * n)]
+    levels = defaultdict(list)  # (n, depth) -> nodes
     for n, e1 in starts + [(6, e1) for e1 in (6, 7, 8, 9)]:
         for es, scanned in _scanned_nodes(n, e1):
+            levels[n, len(es)].append(es)
             gd = corpus._truncation(n, es)
             zs = corpus._real_rows(corpus._root_proposals([gd]))[0]
-            certified = corpus._children(n, es, gd, zs, _ALL_PRUNES, stats)
+            cap = corpus._cap(n, es)
+            bounds = None if zs is None else corpus._child_bounds(n, gd, zs, cap)
+            certified = corpus._children(n, es, cap, bounds, _ALL_PRUNES, stats)
             if len(es) + 1 < n:
                 assert certified == scanned, (n, es)
             else:
                 real_rooted = {e for e in scanned if corpus._truncation_real_rooted(n, es + [e])}
                 assert real_rooted <= set(certified) <= set(scanned), (n, es)
-            m = len(es) + 1
-            cap = math.comb(n, m) * e1**m // n**m
-            bounds = None if zs is None else corpus._child_bounds(n, gd, zs, cap)
             if bounds is None:
                 continue
             lo, sure_lo, sure_hi, hi = bounds
@@ -441,6 +448,21 @@ def test_certified_children_match_scan():
     # the certificate, not the fallback scan, settled nearly everything
     assert stats.certified_pass > 3 * stats.exact_tests
     assert stats.fallback_nodes < sum(stats.nodes.values()) / 10
+    settled, integer_roots = 0, 0
+    for (n, _), nodes in levels.items():
+        for i in range(0, len(nodes), corpus._BATCH):
+            batch = nodes[i : i + corpus._BATCH]
+            truncs = [corpus._truncation(n, es) for es in batch]
+            zs = corpus._root_proposals(truncs)
+            caps = [corpus._cap(n, es) for es in batch]
+            fast = corpus._filtered_bounds(n, truncs, zs, caps)
+            for gd, row, cap, got in zip(truncs, corpus._real_rows(zs), caps, fast):
+                if got is not None:
+                    settled += 1
+                    assert got == corpus._child_bounds(n, gd, row, cap), (n, gd)
+                elif any(intpoly._horner(gd, r) == 0 for r in range(2 * n)):
+                    integer_roots += 1
+    assert settled > 4 * integer_roots > 0
 
 
 @pytest.mark.parametrize("wrong", ["shifted", "one_root_twice", "one_root_lost"])
@@ -470,6 +492,24 @@ def test_corpus_falls_back_on_wrong_proposals(monkeypatch, wrong):
     affected = [v for (_, d), v in reference.nodes.items() if wrong == "shifted" or d >= 2]
     assert stats.fallback_nodes == sum(affected)
     assert stats.certified_pass == 0 if wrong == "shifted" else stats.certified_pass > 0
+
+
+def test_corpus_progress_log(caplog):
+    """One INFO line per finished (degree, e_1) subtree, in order, the same
+    with workers, and summing to the run's counters."""
+    stats = corpus.CorpusStats()
+    with caplog.at_level(logging.INFO, logger=corpus.__name__):
+        members = enumerate_corpus(4, stats=stats)
+        alone = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        enumerate_corpus(4, workers=2)
+        assert [r.getMessage() for r in caplog.records] == alone
+    assert alone[4] == "degree 3, e1 = 5: 9 internal nodes, 6 leaves, 1 members"
+    counts = [[int(v) for v in re.findall(r"\b\d+\b", line)] for line in alone]
+    assert [c[:2] for c in counts] == [[n, e1] for n in (2, 3, 4) for e1 in range(n, 2 * n)]
+    assert [sum(c[i] for c in counts) for i in (2, 3, 4)] == [
+        sum(stats.nodes.values()), stats.leaves, len(members)
+    ]
 
 
 def test_corpus_validation():
