@@ -120,7 +120,8 @@ def enumerate_corpus(
     Linear polynomials are counted separately from the headline corpus, so
     degrees below 2 are skipped unless max_degree itself is 1 (whose only
     member is x - 1).  A ``stats`` record, when given, receives the run's
-    counters; they do not depend on ``workers``.
+    counters; they do not depend on ``workers``.  Each finished (degree,
+    e_1) subtree logs one INFO line, in the same order for any ``workers``.
     """
     if not isinstance(max_degree, int) or not 1 <= max_degree <= 9:
         raise ValueError("max_degree must be an integer in 1..9")
@@ -173,10 +174,11 @@ def _subtree(
 
     The walk is depth first over batches of up to ``_BATCH`` nodes of one
     depth, so that one ``_root_proposals`` call serves a whole batch.  The
-    floats only propose: every child ``_children`` cuts is cut by an exact
-    integer inequality (Newton, the certified interval of ``_child_bounds``)
-    or by the exact Sturm test, so the search visits the same nodes as one
-    exact test per candidate would.
+    floats propose roots, and decide only what their error bounds prove:
+    every child ``_children`` cuts is cut by an exact integer inequality
+    (Newton, the certified interval of ``_child_bounds``) or by the exact
+    Sturm test, so the search visits the same nodes as one exact test per
+    candidate would.
     """
     n, start, prunes = task
     stats = CorpusStats()
@@ -277,10 +279,6 @@ def _tested(n: int, es: list[int], values: range, stats: CorpusStats) -> list[in
         else:
             stats.pruned["exact_test"] += 1
     return kept
-
-
-def _signed_coeffs(es: Iterable[int]) -> list[int]:
-    return [1] + [(-1) ** (i + 1) * e for i, e in enumerate(es)]
 
 
 #: _FALLING[n][m][i] = (-1)^i (n-i)!/(m-i)!, the truncation's coefficient
@@ -518,7 +516,7 @@ def _horner_float(coeffs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _accept(n: int, es: list[int], stats: CorpusStats) -> PolyReport | None:
     stats.leaves += 1
-    coeffs = _signed_coeffs(es)
+    coeffs = _truncation(n, es)  # the 0-th derivative: f itself
     real, positive, _ = root_census(coeffs)
     if real != n or positive != n:  # n distinct positive real roots, hence squarefree
         stats.leaf_rejects["census"] += 1
